@@ -28,6 +28,7 @@ from cdvdiv.newton import (
 from cdvdiv.blowup import (
     ExceptionalSurface,
     Factorization,
+    UnboundedWeightsError,
     Weight,
     decompose_components,
     discrepancy,
@@ -84,6 +85,7 @@ __all__ = [
     "ReductionError",
     "SingularityType",
     "Substitution",
+    "UnboundedWeightsError",
     "Weight",
     "analyze",
     "apply_substitution",

@@ -7,10 +7,11 @@ Gorenstein hypersurface point is
     m * (w1 + w2 + w3 + w4 - 1 - min <w, supp f>),
 
 so the discrepancy-1 weights are exactly the primitive solutions of
-sum(w) = min-value + 2.  They are enumerated by an exact integer scan over a
-finite box (vectorized with int64 numpy; every survivor is re-verified with
-rational arithmetic, and the box auto-expands if a solution ever touches its
-boundary).
+sum(w) = min-value + 2.  They lie in a polyhedron whose coordinate maxima an
+exact rational simplex computes; the box those maxima certify is scanned
+once (vectorized with int64 numpy) and every survivor is re-verified with
+rational arithmetic.  An unbounded polyhedron means infinitely many
+candidates, which an isolated cDV point never has.
 
 The exceptional divisor of sigma_w lives in the weighted projective space
 P(w) and is cut out by the face polynomial of w; its components are the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd, lcm
 from typing import List, Tuple
 
 import numpy as np
@@ -59,46 +60,46 @@ class Weight:
         return "(" + ",".join(str(c) for c in self.w) + ")"
 
 
-def default_weight_bound(d: NewtonDiagram) -> int:
-    """Default box bound for the discrepancy-1 weight scan."""
-    return 2 * max(total_degree(v) for v in d.vertices) + 2
+class UnboundedWeightsError(ValueError):
+    """The discrepancy-1 candidate set is infinite: not an isolated cDV point.
 
-
-def enumerate_weights(
-    d: NewtonDiagram,
-    max_coord: int | None = None,
-    allow_expand: bool = True,
-) -> List[Weight]:
-    """All primitive weights in the box with discrepancy exactly 1.
-
-    Scans 1 <= w_i <= max_coord for primitive w with
-    sum(w) - 1 - support_value = 1, sorted lexicographically.  If a solution
-    has a coordinate equal to max_coord the box cannot be trusted to be
-    complete; it is then doubled (up to 4 times) unless allow_expand is
-    False, in which case a RuntimeError is raised.
+    `ray` is a nonzero r >= 0 with sum(r) <= <r, v> for every vertex v, so
+    w + k*r satisfies sum(w) - 2 <= w(f) for every candidate w and k >= 0.
     """
-    if max_coord is None:
-        max_coord = default_weight_bound(d)
-    if max_coord < 1:
-        raise ValueError("max_coord must be at least 1")
-    vertices = np.array(d.vertices, dtype=np.int64)
-    for _attempt in range(5):
-        found = _scan_box(vertices, max_coord)
-        if not any(max(w) == max_coord for w in found):
-            break
-        if not allow_expand:
-            raise RuntimeError(
-                f"discrepancy-1 weight touches the scan box (bound {max_coord}); "
-                "the enumeration may be incomplete"
-            )
-        max_coord *= 2
-    else:
-        raise RuntimeError(
-            f"discrepancy-1 weights keep touching the scan box (bound {max_coord}); "
-            "the support probably misses a coordinate axis"
+
+    def __init__(self, ray: Tuple[int, ...]):
+        super().__init__(
+            f"infinitely many weights satisfy sum(w) - 2 <= w(f): the ray {ray} "
+            "never leaves that set; the input is not an isolated cDV point"
         )
+        self.ray = ray
+
+
+def enumerate_weights(d: NewtonDiagram) -> List[Weight]:
+    """All primitive weights with discrepancy exactly 1, sorted lexicographically.
+
+    Every such w lies in the polyhedron {w >= 1 : sum(w) - 2 <= <w, v> for
+    every vertex v}.  Its coordinate maxima, computed exactly, give a box
+    that certainly contains the whole set; the box is scanned once and each
+    hit is re-verified with exact arithmetic.  An unbounded polyhedron
+    raises UnboundedWeightsError.
+    """
+    if any(total_degree(v) < 2 for v in d.vertices):
+        # sum(w) - 2 <= <w, v> fails for every w >= 1 once deg v <= 1.
+        return []
+    # With u = w - 1 the constraints read sum_i (1 - v_i) u_i <= deg v - 2.
+    rows = [[1 - c for c in v] for v in d.vertices]
+    rhs = [total_degree(v) - 2 for v in d.vertices]
+    bounds = [1 + floor(m) for m in _coordinate_maxima(rows, rhs)]
+    vertices = np.array(d.vertices, dtype=np.int64)
+    axes = [np.arange(1, b + 1, dtype=np.int64) for b in bounds]
+    box = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    hits = box[box.sum(axis=1) - 2 == (box @ vertices.T).min(axis=1)]
     weights = []
-    for w in found:
+    for row in hits.tolist():
+        w = tuple(row)
+        if gcd(gcd(w[0], w[1]), gcd(w[2], w[3])) != 1:
+            continue
         weight = Weight(w)
         # Independent exact re-check of the defining identity.
         if weight.sum() - 1 - support_value(d, w) != 1:
@@ -108,24 +109,65 @@ def enumerate_weights(
     return weights
 
 
-def _scan_box(vertices: np.ndarray, bound: int) -> List[Tuple[int, int, int, int]]:
-    # Chunk over w1 to keep the grid at bound^3 rows.
-    rng = np.arange(1, bound + 1, dtype=np.int64)
-    g2, g3, g4 = np.meshgrid(rng, rng, rng, indexing="ij")
-    cols = [g2.ravel(), g3.ravel(), g4.ravel()]
-    tail = np.stack(cols, axis=1)  # (bound^3, 3)
-    tail_vals = tail @ vertices[:, 1:].T  # (bound^3, nverts)
-    tail_sum = tail.sum(axis=1)
-    out: List[Tuple[int, int, int, int]] = []
-    for w1 in range(1, bound + 1):
-        vals = tail_vals + w1 * vertices[:, 0]
-        support_min = vals.min(axis=1)
-        hits = np.nonzero(tail_sum + w1 - 2 == support_min)[0]
-        for idx in hits:
-            w = (w1, int(tail[idx, 0]), int(tail[idx, 1]), int(tail[idx, 2]))
-            if gcd(gcd(w[0], w[1]), gcd(w[2], w[3])) == 1:
-                out.append(w)
-    return out
+def _coordinate_maxima(rows: List[List[int]], rhs: List[int]) -> List[Fraction]:
+    """max u_i over {u >= 0 : rows . u <= rhs} for each coordinate i.
+
+    Exact primal simplex in Fraction with Bland's rule.  Since rhs >= 0 the
+    slack basis is feasible, so no phase 1 is needed; each objective starts
+    from the optimal basis of the previous one.
+    """
+    n, m = len(rows[0]), len(rows)
+    tableau = [
+        [Fraction(a) for a in row]
+        + [Fraction(int(i == k)) for k in range(m)]
+        + [Fraction(b)]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    basis = [n + i for i in range(m)]
+    maxima = []
+    for target in range(n):
+        while True:
+            # Reduced costs of the objective u_target under the current basis.
+            r = basis.index(target) if target in basis else None
+            costs = [
+                int(j == target) - (tableau[r][j] if r is not None else 0)
+                for j in range(n + m)
+            ]
+            entering = next((j for j, c in enumerate(costs) if c > 0), None)
+            if entering is None:
+                maxima.append(tableau[r][-1] if r is not None else Fraction(0))
+                break
+            candidates = [i for i in range(m) if tableau[i][entering] > 0]
+            if not candidates:
+                raise UnboundedWeightsError(_ray(tableau, basis, entering, n))
+            leaving = min(
+                candidates,
+                key=lambda i: (tableau[i][-1] / tableau[i][entering], basis[i]),
+            )
+            _pivot(tableau, leaving, entering)
+            basis[leaving] = entering
+    return maxima
+
+
+def _pivot(tableau: List[List[Fraction]], row: int, col: int) -> None:
+    pivot = tableau[row][col]
+    tableau[row] = [a / pivot for a in tableau[row]]
+    for i, other in enumerate(tableau):
+        factor = other[col]
+        if i != row and factor:
+            tableau[i] = [a - factor * b for a, b in zip(other, tableau[row])]
+
+
+def _ray(tableau, basis, entering: int, n: int) -> Tuple[int, ...]:
+    """Primitive integer direction of w along which the LP is unbounded."""
+    ray = [Fraction(int(j == entering)) for j in range(n)]
+    for i, var in enumerate(basis):
+        if var < n:
+            ray[var] = -tableau[i][entering]
+    scale = lcm(*(q.denominator for q in ray))
+    ints = [int(q * scale) for q in ray]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 def discrepancy(d: NewtonDiagram, w: Weight, m: int = 1) -> int:
@@ -155,12 +197,12 @@ def decompose_components(g: Polynomial) -> Factorization:
     content, stripped = strip_monomial_content(g)
     constant, factors = rational_factors(stripped)
     components = tuple(
-        (factor, mult) for factor, mult in factors if len(factor.terms) > 1
+        (factor, mult) for factor, mult in factors if len(factor) > 1
     )
     # After content removal the only monomial factor sympy can report is the
     # trivial constant one.
     for factor, _mult in factors:
-        if len(factor.terms) == 1 and factor.degree() > 0:
+        if len(factor) == 1 and factor.degree() > 0:
             raise AssertionError("monomial factor survived content stripping")
     return Factorization(constant=constant, content=content, components=components)
 

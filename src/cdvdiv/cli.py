@@ -44,7 +44,6 @@ class RunConfig:
     command: str
     input_path: Optional[str] = None
     truncation: Optional[int] = None
-    max_weight: Optional[int] = None
     seed: int = 0
     output_format: str = "text"
     type_name: Optional[str] = None
@@ -253,9 +252,9 @@ def _cmd_weights(config: RunConfig) -> Dict[str, Any]:
 
     try:
         diagram = build_diagram(f)
+        weights = enumerate_weights(diagram)
     except ValueError as err:
         raise InputError(str(err)) from err
-    weights = enumerate_weights(diagram, config.max_weight)
     return {
         "input": pretty(f),
         "weights": [
@@ -271,11 +270,7 @@ def _cmd_weights(config: RunConfig) -> Dict[str, Any]:
 
 def _cmd_analyze(config: RunConfig) -> Dict[str, Any]:
     f = _load_polynomial(config)
-    options = AnalyzeOptions(
-        truncation=config.truncation,
-        max_coord=config.max_weight,
-        seed=config.seed,
-    )
+    options = AnalyzeOptions(truncation=config.truncation, seed=config.seed)
     try:
         result = analyze(f, options)
     except ValueError as err:
@@ -471,9 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--input", dest="input_path", help="polynomial file (UTF-8)")
     parser.add_argument("--truncation", type=int, help="total-degree truncation")
-    parser.add_argument(
-        "--max-weight", type=int, help="override the weight enumeration box bound"
-    )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument(
         "--format",
@@ -496,7 +488,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         command=args.command,
         input_path=args.input_path,
         truncation=args.truncation,
-        max_weight=args.max_weight,
         seed=args.seed,
         output_format=args.output_format,
         type_name=args.type_name,

@@ -378,8 +378,8 @@ def singular_torus_search(
     if g.is_zero():
         raise ValueError("cannot check the zero polynomial")
     names = g.variables_present()
-    if len(g.terms) <= 2:
-        kind = "monomial" if len(g.terms) == 1 else "binomial"
+    if len(g) <= 2:
+        kind = "monomial" if len(g) == 1 else "binomial"
         return FaceVerdict(
             NONDEGENERATE_CERTIFIED,
             f"{kind} face polynomials are smooth on the torus",

@@ -116,7 +116,7 @@ class _Reducer:
         # elimination loop.  Shears that expose structural monomials can
         # legitimately spray offenders across the whole degree range, so the
         # budget scales with the truncation.
-        self.budget = 10 * max(4, len(f.terms)) + 20 * truncation
+        self.budget = 10 * max(4, len(f)) + 20 * truncation
         self.notes: List[str] = []
 
     def apply(self, sub: Substitution) -> None:

@@ -57,7 +57,6 @@ from cdvdiv.poly import Polynomial, parse_polynomial
 @dataclass(frozen=True)
 class AnalyzeOptions:
     truncation: Optional[int] = None
-    max_coord: Optional[int] = None
     seed: int = 0
     face_samples: int = 20_000
     scan_primes: Tuple[int, ...] = SCAN_PRIMES
@@ -127,7 +126,7 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
 
     Sub-operation failures (reduction, factorization) surface as per-weight
     warnings where possible; input errors (zero polynomial, nonzero constant
-    term) raise ValueError.
+    term, infinitely many discrepancy-1 candidates) raise ValueError.
     """
     if f.is_zero():
         raise ValueError("input polynomial is zero")
@@ -148,7 +147,7 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
                 f"input is outside the certified cD/cE normal forms: {err}"
             )
     diagram = build_diagram(g)
-    weights = enumerate_weights(diagram, options.max_coord)
+    weights = enumerate_weights(diagram)
     reports: List[WeightReport] = []
     non_rational = 0
     for index, w in enumerate(weights):

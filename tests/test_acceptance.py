@@ -9,7 +9,7 @@ import time
 from fractions import Fraction as F
 from math import gcd
 
-from cdvdiv.blowup import default_weight_bound, enumerate_weights
+from cdvdiv.blowup import enumerate_weights
 from cdvdiv.catalog import candidate_weights, lemma_quadruples
 from cdvdiv.curvegeom import LatticePolygon, polygon_genus
 from cdvdiv.newton import build_diagram, support_value
@@ -21,6 +21,7 @@ from cdvdiv.normalform import (
 )
 from cdvdiv.pipeline import AnalyzeOptions, analyze, analyze_text, run_corpus
 from cdvdiv.poly import Polynomial, parse_polynomial
+from weight_oracle import brute_force_weights, oracle_bound
 
 P = parse_polynomial
 
@@ -236,14 +237,14 @@ def test_criterion_7_oracles():
         ok = ok and genus == pick_interior
         checked += 1
 
-    # (c) doubling the enumeration box changes nothing on the acceptance inputs.
+    # (c) the enumeration equals a brute-force scan on the acceptance inputs.
     inputs = [
         f"x^2 + y^2*z + z^{2 * k - 1} + t^{2 * k - 1}" for k in range(2, 7)
     ] + ["x^2 + y^3 + y*z^3 + t^9", "x^2 + y^3 + z^5 + t^15"]
     for text in inputs:
         d = build_diagram(P(text))
-        bound = default_weight_bound(d)
-        ok = ok and enumerate_weights(d, bound) == enumerate_weights(d, 2 * bound)
+        expected = brute_force_weights(d.vertices, oracle_bound(d.vertices))
+        ok = ok and [w.w for w in enumerate_weights(d)] == expected
 
     report(7, "independent oracles", ok, time.monotonic() - start, 30.0)
 

@@ -4,15 +4,22 @@ from fractions import Fraction
 import pytest
 
 from cdvdiv.blowup import (
+    UnboundedWeightsError,
     Weight,
+    _coordinate_maxima,
     decompose_components,
-    default_weight_bound,
     discrepancy,
     enumerate_weights,
     exceptional_surface,
 )
 from cdvdiv.newton import build_diagram
 from cdvdiv.poly import Polynomial, parse_polynomial
+from weight_oracle import (
+    brute_force_weights,
+    literal_scan,
+    lp_vertex_maxima,
+    oracle_bound,
+)
 
 P = parse_polynomial
 
@@ -58,11 +65,75 @@ class TestEnumerate:
         b = enumerate_weights(build_diagram(f))
         assert a == b
 
-    def test_doubled_box_is_stable(self):
-        for f in (EXAMPLE_CD4, EXAMPLE_CE8):
-            d = build_diagram(f)
-            bound = default_weight_bound(d)
-            assert enumerate_weights(d, bound) == enumerate_weights(d, 2 * bound)
+    @pytest.mark.parametrize(
+        "text",
+        ["x^2 + y^2*z + z^3 + t^3", "x^2 + y^3 + z^4 + t^4", "x^2 + y^2 + z^2 + t^2"],
+        ids=["cD4", "cE6", "node"],
+    )
+    def test_oracle_matches_a_literal_scan(self, text):
+        d = build_diagram(P(text))
+        bound = oracle_bound(d.vertices)
+        assert brute_force_weights(d.vertices, bound) == literal_scan(d.vertices, bound)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            EXAMPLE_CD4,
+            EXAMPLE_CE8,
+            P("x^2 + y^3 + z^5 + t^60"),
+            P("x^2 + y^2*z + z^20"),
+        ],
+        ids=["cD4", "cE8", "cE8_t60", "non_isolated_z20"],
+    )
+    def test_matches_brute_force(self, f):
+        d = build_diagram(f)
+        expected = brute_force_weights(d.vertices, oracle_bound(d.vertices))
+        assert [w.w for w in enumerate_weights(d)] == expected
+
+    def test_random_supports_match_brute_force(self):
+        rng = random.Random(2024)
+        for case in range(40):
+            d = build_diagram(_random_bounded_germ(rng))
+            expected = brute_force_weights(d.vertices, oracle_bound(d.vertices))
+            assert [w.w for w in enumerate_weights(d)] == expected, d.vertices
+            if case % 4 == 0:
+                # The box comes from exact LP maxima: compare with the best
+                # vertex of the candidate polyhedron (u = w - 1).
+                rows = [[1 - c for c in v] for v in d.vertices]
+                rhs = [sum(v) - 2 for v in d.vertices]
+                assert _coordinate_maxima(rows, rhs) == lp_vertex_maxima(rows, rhs)
+
+    def test_non_isolated_supports_are_unbounded(self):
+        rng = random.Random(7)
+        supports = [[(2, 0, 0, 0), (0, 2, 1, 0)]]
+        for _ in range(20):
+            # y-degree >= 2 keeps (1, 1, 0, 0) a ray of the candidate set.
+            extra = [_random_yzt_monomial(rng, 2) for _ in range(rng.randint(2, 4))]
+            supports.append([(2, 0, 0, 0), (0, 2, 1, 0)] + extra)
+        for exps in supports:
+            d = build_diagram(Polynomial({e: Fraction(1) for e in exps}))
+            with pytest.raises(UnboundedWeightsError) as info:
+                enumerate_weights(d)
+            ray = info.value.ray
+            assert min(ray) >= 0 and max(ray) > 0
+            assert all(sum(ray) <= sum(r * c for r, c in zip(ray, v)) for v in exps)
+
+
+def _random_bounded_germ(rng: random.Random) -> Polynomial:
+    """x^2, pure powers y^a, z^b, t^c and 2..4 random monomials in y, z, t."""
+    # 1/2 + 1/a + 1/b + 1/c > 1 keeps the candidate set bounded.
+    exps = [(2, 0, 0, 0), (0, rng.randint(2, 3), 0, 0)]
+    exps += [(0, 0, rng.randint(2, 5), 0), (0, 0, 0, rng.randint(2, 8))]
+    exps += [_random_yzt_monomial(rng, 0) for _ in range(rng.randint(2, 4))]
+    return Polynomial({e: Fraction(1) for e in exps})
+
+
+def _random_yzt_monomial(rng: random.Random, min_y: int):
+    """A monomial in y, z, t of total degree 2..8 with y-degree >= min_y."""
+    degree = rng.randint(max(2, min_y), 8)
+    a = rng.randint(min_y, degree)
+    b = rng.randint(0, degree - a)
+    return (0, a, b, degree - a - b)
 
 
 class TestDiscrepancy:

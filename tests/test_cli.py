@@ -103,6 +103,15 @@ class TestOtherCommands:
         assert status == EXIT_OK
         assert "(2, 1, 1, 1)" in out
 
+    def test_non_isolated_input_is_an_input_error(self, tmp_path):
+        path = write_input(tmp_path, "x^2 + y^2*z")
+        for command in ("weights", "analyze"):
+            status, out, err = run_config(RunConfig(command=command, input_path=path))
+            assert status == EXIT_INPUT_ERROR
+            assert out == ""
+            assert "ray (1, 1, 0, 0)" in err
+            assert "not an isolated cDV point" in err
+
     def test_lemmas_requires_type(self):
         status, _out, err = run_config(RunConfig(command="lemmas"))
         assert status == EXIT_INPUT_ERROR
