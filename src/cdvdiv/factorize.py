@@ -1,45 +1,25 @@
 """Factorization of sparse x,y,z,t-polynomials over Q.
 
-Thin exact bridge to sympy's multivariate factorization.  Monomial content
-is split off first, every returned factor is normalized to integer content 1
-with a positive leading coefficient in grlex order, and the factorization is
-re-multiplied and compared against the input before it is returned, so a
-wrong answer cannot slip through silently.
+The input's denominators are cleared with their lcm and it is factored over Z
+by sympy's dense multivariate routine (`dmp_factor_list`), in only the
+variables that occur in its support.  Every returned factor is normalized to
+integer content 1 with a positive leading coefficient in grlex order, and the
+factorization is re-multiplied and compared against the input before it is
+returned, so a wrong answer cannot slip through silently.  Monomial content
+can be split off first with `strip_monomial_content`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Tuple
 
-import sympy
+from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dmp_factor_list
 
 from cdvdiv.poly import ExponentVector, Polynomial, ZERO_EXPONENT, grlex_key
-
-_SYMBOLS = sympy.symbols("x y z t")
-
-
-def to_sympy(f: Polynomial):
-    expr = sympy.Integer(0)
-    for exps, coeff in f.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for s, e in zip(_SYMBOLS, exps):
-            if e:
-                term *= s**e
-        expr += term
-    return expr
-
-
-def from_sympy(expr) -> Polynomial:
-    poly = sympy.Poly(expr, *_SYMBOLS)
-    terms = {}
-    for monom, coeff in poly.terms():
-        coeff = sympy.Rational(coeff)
-        terms[tuple(int(e) for e in monom)] = Fraction(
-            int(coeff.p), int(coeff.q)
-        )
-    return Polynomial(terms)
 
 
 def monomial_content(f: Polynomial) -> ExponentVector:
@@ -91,16 +71,31 @@ def rational_factors(f: Polynomial) -> Tuple[Fraction, List[Tuple[Polynomial, in
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    const, raw = sympy.factor_list(to_sympy(f))
-    const = sympy.Rational(const)
-    constant = Fraction(int(const.p), int(const.q))
+    denominator = lcm(*(coeff.denominator for _exps, coeff in f.items()))
+    # A constant has no variable in its support; it is factored as a
+    # polynomial of degree 0 in x.
+    used = [i for i in range(4) if any(exps[i] for exps, _coeff in f.items())] or [0]
+    level = len(used) - 1
+    integral = {
+        tuple(exps[i] for i in used): ZZ(coeff.numerator * (denominator // coeff.denominator))
+        for exps, coeff in f.items()
+    }
+    content, raw = dmp_factor_list(dmp_from_dict(integral, level, ZZ), level, ZZ)
+    constant = Fraction(int(content), denominator)
     factors: List[Tuple[Polynomial, int]] = []
-    for expr, mult in raw:
-        factor = from_sympy(expr)
-        scalar, primitive = normalize_integer_primitive(factor)
-        constant *= scalar ** int(mult)
-        factors.append((primitive, int(mult)))
-    factors.sort(key=lambda pair: (pair[0].degree(), sorted(pair[0].terms)))
+    for dense_factor, mult in raw:
+        terms = {}
+        for short, coeff in dmp_to_dict(dense_factor, level).items():
+            exps = [0, 0, 0, 0]
+            for i, e in zip(used, short):
+                exps[i] = e
+            terms[tuple(exps)] = Fraction(int(coeff))
+        scalar, primitive = normalize_integer_primitive(Polynomial(terms))
+        constant *= scalar**mult
+        factors.append((primitive, mult))
+    factors.sort(
+        key=lambda pair: (pair[0].degree(), sorted(exps for exps, _coeff in pair[0].items()))
+    )
     check = Polynomial.constant(constant)
     for factor, mult in factors:
         check = check * factor**mult

@@ -51,7 +51,16 @@ Z5: ExponentVector = (0, 0, 5, 0)
 
 
 class ReductionError(Exception):
-    """The reduction cannot reach (or certify) a normal form."""
+    """The reduction cannot reach (or certify) a normal form.
+
+    `germ_type` is the cDV type that `reduce_to_normal_form` found before it
+    stopped ("other" when the type analysis itself failed), so callers need
+    not classify the germ again; it is None where no type was determined.
+    """
+
+    def __init__(self, message: str, germ_type: Optional[SingularityType] = None):
+        super().__init__(message)
+        self.germ_type = germ_type
 
 
 @dataclass(frozen=True)
@@ -894,26 +903,33 @@ def reduce_to_normal_form(
     of coordinate changes, and the verified b_i-type constraints.  Raises
     ReductionError for inputs outside the cD/cE range (cA inputs only need
     classification) or when the reduction cannot be completed within the
-    iteration budget and truncation.
+    iteration budget and truncation; its `germ_type` is the type found.
     """
     truncation = truncation_degree or default_truncation(f)
-    outcome, red = _analyze_germ(f, truncation)
+    try:
+        outcome, red = _analyze_germ(f, truncation)
+    except ReductionError as err:
+        err.germ_type = SingularityType("other")
+        raise
     kind = outcome.type.kind
     if kind == "smooth":
-        raise ReductionError("the point is smooth; nothing to reduce")
+        raise ReductionError("the point is smooth; nothing to reduce", outcome.type)
     if kind == "cA":
         raise ReductionError(
             "cA-type germ: every low-discrepancy divisor over it is rational, "
-            "no cD/cE normal form applies"
+            "no cD/cE normal form applies",
+            outcome.type,
         )
     if kind == "other":
-        raise ReductionError("no cD/cE normal form matches within the truncation")
+        raise ReductionError(
+            "no cD/cE normal form matches within the truncation", outcome.type
+        )
     if kind == "cD":
         _sig, checks, problem = _cd_shape(red.current)
     else:
         _sig, checks, problem = _ce_shape(kind, red.current)
     if problem is not None:
-        raise ReductionError(problem)
+        raise ReductionError(problem, outcome.type)
     return NormalFormCertificate(
         type=outcome.type,
         reduced=red.current,

@@ -47,7 +47,6 @@ from cdvdiv.normalform import (
     NormalFormCertificate,
     ReductionError,
     SingularityType,
-    classify_type,
     default_truncation,
     reduce_to_normal_form,
 )
@@ -138,7 +137,7 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
         classification = certificate.type
         g = certificate.reduced
     except ReductionError as err:
-        classification = classify_type(f, truncation)
+        classification = err.germ_type
         g = f.truncate(truncation)
         if classification.kind in ("cD", "cE6", "cE7", "cE8"):
             warnings.append(f"normal-form reduction unavailable: {err}")

@@ -257,7 +257,7 @@ def pretty(poly: Polynomial) -> str:
     if poly.is_zero():
         return "0"
     pieces = []
-    for exps in sorted(poly.terms, key=grlex_key, reverse=True):
+    for exps in reversed(poly.support()):
         coeff = poly.coefficient(exps)
         mono = _monomial_text(exps)
         mag = abs(coeff)

@@ -79,6 +79,34 @@ class TestAnalyzeExamples:
             r.weight.w for r in clean.non_rational_reports()
         ]
 
+    @pytest.mark.parametrize(
+        "text,label",
+        [
+            ("x^2 + y^2 + z^2 + t^2", "cA_1"),
+            # the type analysis itself raises: beyond the cE_8 range
+            ("x^2 + y^3 + z^7 + t^7", "other"),
+            # the type analysis returns "other": no quadratic part
+            ("x^3 + y^3 + z^3 + t^3", "other"),
+        ],
+    )
+    def test_failed_reduction_classifies_once(self, monkeypatch, text, label):
+        from cdvdiv import normalform
+
+        calls = []
+        real = normalform._analyze_germ
+
+        def counted(f, truncation):
+            calls.append(f)
+            return real(f, truncation)
+
+        f = P(text)
+        expected = normalform.classify_type(f)
+        monkeypatch.setattr(normalform, "_analyze_germ", counted)
+        result = analyze(f, FAST)
+        assert len(calls) == 1
+        assert result.classification == expected
+        assert result.classification.label() == label
+
     def test_every_weight_has_discrepancy_one_base(self):
         result = analyze_text("x^2 + y^3 + z^5 + t^15", FAST)
         for wr in result.weight_reports:
