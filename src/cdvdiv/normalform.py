@@ -11,12 +11,21 @@ nonzero rationals, since normalizing them to 1 would need radicals):
   cE8  : x^2 + y^3 + z^5 + (z,t) terms with z-power <= 3
          + y-linear terms with z-power <= 3
 
-The reduction is the constructive one: complete the square to remove every
-x-monomial except x^2 (an inverse-square-root power series handles x-powers
-above 1), use the structural cubic monomials to sweep away disallowed y- and
-z-monomials, and normalize the cubic part by exact linear changes first.
-Every applied coordinate change is recorded and replayable, so certificates
-can be verified independently.  Type detection routes on exact data: the
+The reduction is the constructive one.  It completes the square to remove
+every x-monomial except x^2 (an inverse-square-root power series handles
+x-powers above 1) and normalizes the cubic part by exact linear changes.
+Later changes replace only y, z or t, by x-free polynomials, so no
+x-monomial comes back.  The disallowed y- and z-monomials are then removed
+by one elimination loop driven by a rule table, `_RULES`, with a few rows
+per type.  A row names a structural monomial (y^2 z, y^3, y z^3, z^4, z^5,
+or the lowest pure z-power, read off the current polynomial), the
+monomials it kills, and the variable it shears.  The rows of one type are
+disjoint.  Each round the least offender picks its row, and one shear
+through that row's structural monomial cancels the whole row at first
+order.  A missing structural monomial is first exposed by a z <-> t swap
+or a t <- t + lam*z shear where the row allows it.  Every applied
+coordinate change is recorded and replayable, so certificates can be
+verified independently.  Type detection routes on exact data: the
 rank of the quadratic form, the factorization pattern of the ternary cubic
 (reduced / double line / triple line), and the first nonzero of the
 classical sequence (quartic pure part, cubic y-linear part, quintic pure
@@ -28,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from cdvdiv.factorize import rational_factors
 from cdvdiv.poly import (
@@ -36,7 +45,6 @@ from cdvdiv.poly import (
     Polynomial,
     Substitution,
     VARS,
-    VAR_INDEX,
     apply_substitution,
     grlex_key,
     total_degree,
@@ -48,6 +56,11 @@ Y3: ExponentVector = (0, 3, 0, 0)
 YZ3: ExponentVector = (0, 1, 3, 0)
 Z4: ExponentVector = (0, 0, 4, 0)
 Z5: ExponentVector = (0, 0, 5, 0)
+
+Support = Tuple[ExponentVector, ...]
+
+# Largest t <- t + lam*z shear tried to expose a structural monomial.
+_MAX_SHEAR = 64
 
 
 class ReductionError(Exception):
@@ -284,14 +297,6 @@ def _cubic_part(f: Polynomial) -> Polynomial:
     return _part(f, lambda e: e[0] == 0 and total_degree(e) == 3)
 
 
-def _pure_zt_degrees(f: Polynomial) -> List[int]:
-    return [
-        total_degree(e)
-        for e in f.support()
-        if e[0] == 0 and e[1] == 0 and total_degree(e) > 0
-    ]
-
-
 def _linear_change(red: _Reducer, rows: List[List[Fraction]]) -> None:
     """Change (y, z, t) so that the form with coefficients rows[i] becomes
     the (i+1)-th variable; rows must be an invertible 3x3 matrix."""
@@ -354,7 +359,6 @@ def _shear_until(
     red: _Reducer,
     target: ExponentVector,
     preserve: Tuple[ExponentVector, ...] = (),
-    max_lambda: int = 64,
 ) -> None:
     """Expose the structural monomial `target` (make its coefficient nonzero).
 
@@ -382,7 +386,7 @@ def _shear_until(
             f"swapped z and t to expose the structural monomial {target}"
         )
         return
-    for lam in range(1, max_lambda + 1):
+    for lam in range(1, _MAX_SHEAR + 1):
         probe = apply_substitution(
             red.current,
             Substitution.single(
@@ -405,7 +409,22 @@ def _shear_until(
     raise ReductionError(f"could not expose structural monomial {target}")
 
 
-def _run_elimination(red: _Reducer, offender, killer) -> None:
+@dataclass(frozen=True)
+class _Rule:
+    """One row of an elimination table: the monomials e != struct with
+    members(e, struct) are killed in one batch by shearing variable `var`
+    through `struct`.  `struct` is fixed or read off the sorted support
+    (None: no offenders).  A missing `struct` is exposed by `_shear_until`
+    keeping `preserve`, or is an error when `preserve` is None.
+    """
+
+    members: Callable[[ExponentVector, ExponentVector], bool]
+    struct: Union[ExponentVector, Callable[[Support], Optional[ExponentVector]]]
+    var: int
+    preserve: Optional[Tuple[ExponentVector, ...]] = None
+
+
+def _run_elimination(red: _Reducer, rules: Sequence[_Rule]) -> None:
     # Corrections of one kill may revive an already-killed lower offender
     # (structural monomials share variables, and allowed monomials below the
     # structural level feed back one level per round), so progress is
@@ -415,21 +434,32 @@ def _run_elimination(red: _Reducer, offender, killer) -> None:
     cap = red.truncation + 6
     kill_counts: Dict[ExponentVector, int] = {}
     while True:
-        offenders = [e for e in red.current.support() if offender(e, red.current)]
+        support = red.current.support()
+        rows = [(r, r.struct(support) if callable(r.struct) else r.struct) for r in rules]
+        # The rows of a table are disjoint, so each offender has one row.
+        offenders = [
+            (e, rule, struct)
+            for e in support
+            for rule, struct in rows
+            if struct is not None and e != struct and rule.members(e, struct)
+        ]
         if not offenders:
             return
-        m = min(offenders, key=grlex_key)
+        m, rule, struct = offenders[0]
         kill_counts[m] = kill_counts.get(m, 0) + 1
         if kill_counts[m] > cap:
             raise ReductionError(
                 f"elimination is cycling near monomial {m}; the input is "
                 "outside the certified reduction moves"
             )
-        killer(red, m)
+        if rule.preserve is not None and red.coefficient(struct) == 0:
+            _shear_until(red, struct, rule.preserve)
+            continue  # re-evaluate the offenders against the new support
+        _kill_with_struct(red, struct, rule.var, [e for e, r, _ in offenders if r is rule])
 
 
-def _kill_with_struct(red: _Reducer, struct: ExponentVector, var_index: int, m):
-    """Shear the struct variable to cancel the target monomial(s).
+def _kill_with_struct(red: _Reducer, struct: ExponentVector, var_index: int, members):
+    """Shear the struct variable to cancel the target monomials.
 
     With struct = v^k * w (v the sheared variable), the replacement
     v <- v - (a / (k c)) * m / (v^(k-1) w) removes m exactly at first order;
@@ -437,7 +467,6 @@ def _kill_with_struct(red: _Reducer, struct: ExponentVector, var_index: int, m):
     served by the same (struct, v) pair is removed by one substitution
     (their cross terms land at strictly higher grlex order).
     """
-    members = m if isinstance(m, list) else [m]
     c = red.coefficient(struct)
     if c == 0:
         raise ReductionError(
@@ -461,13 +490,22 @@ def _kill_with_struct(red: _Reducer, struct: ExponentVector, var_index: int, m):
 # ---------------------------------------------------------------------------
 
 
+def _cd_pure_struct(support: Support) -> Optional[ExponentVector]:
+    """z^m, m the least degree of a (z,t)-monomial: the cD z^(n-1) slot."""
+    for e in support:
+        if e[0] == e[1] == 0 and total_degree(e) > 0:
+            return (0, 0, total_degree(e), 0)
+    return None
+
+
 def _cd_parameters(g: Polynomial) -> Tuple[Optional[int], Optional[int]]:
     """(pure_min, n) for the current cD-shaped polynomial."""
-    pure = _pure_zt_degrees(g)
-    pure_min = min(pure) if pure else None
+    support = g.support()
+    struct = _cd_pure_struct(support)
+    pure_min = struct[2] if struct else None
     y_ts = [
         e[3]
-        for e in g.support()
+        for e in support
         if e[0] == 0 and e[1] == 1 and e[2] == 0 and e[3] >= 1
     ]
     candidates = []
@@ -479,158 +517,49 @@ def _cd_parameters(g: Polynomial) -> Tuple[Optional[int], Optional[int]]:
     return pure_min, n
 
 
-def _cd_offender(e: ExponentVector, g: Polynomial) -> bool:
-    if e in (X2, Y2Z):
-        return False
-    a, b, c, d = e
-    if a:
-        return True
-    if b >= 2:
-        return True
-    if b == 1:
-        return c >= 1
-    pure_min, _n = _cd_parameters(g)
-    if pure_min is None:
-        return False
-    struct = (0, 0, pure_min, 0)
-    return c >= pure_min and e != struct
-
-
-def _cd_killer(red: _Reducer, m: ExponentVector) -> bool:
-    a, b, c, _d = m
-    if a:
-        _eliminate_square_variable(red, 0)
-        return True
-    g = red.current
-
-    def batch(pred):
-        return [e for e in g.support() if _cd_offender(e, g) and pred(e)]
-
-    if b >= 1 and c >= 1:
-        # y- and z-divisible: the y-shear leaves the z-structural monomials
-        # alone, so these kills cannot feed the pure-z kills below.
-        _kill_with_struct(red, Y2Z, 1, batch(lambda e: e[1] >= 1 and e[2] >= 1))
-        return True
-    if b >= 2:
-        # z-free: the z-shear through y^2 z has z-free correction terms.
-        _kill_with_struct(red, Y2Z, 2, batch(lambda e: e[1] >= 2 and e[2] == 0))
-        return True
-    pure_min, _ = _cd_parameters(red.current)
-    struct = (0, 0, pure_min, 0)
-    if red.coefficient(struct) == 0:
-        _shear_until(red, struct, preserve=(Y2Z,))
-        return False  # re-evaluate offenders against the new support
-    _kill_with_struct(
-        red, struct, 2, batch(lambda e: e[1] == 0 and e[2] >= pure_min)
-    )
-    return True
-
-
-def _ce_offender_common(e: ExponentVector) -> Optional[bool]:
-    if e in (X2, Y3):
-        return False
-    if e[0]:
-        return True
-    if e[1] >= 2:
-        return True
+def _lowest_pure_z(support: Support) -> Optional[ExponentVector]:
+    """The lowest pure z-power z^k: the cE7 z^k slot."""
+    for e in support:
+        if e[0] == e[1] == e[3] == 0 and e[2] > 0:
+            return e
     return None
 
 
-def _ce6_offender(e: ExponentVector, g: Polynomial) -> bool:
-    common = _ce_offender_common(e)
-    if common is not None:
-        return common
-    return e[2] >= 3 and e != Z4
+def _zt_at_or_above(e: ExponentVector, struct: ExponentVector) -> bool:
+    """y-free monomials with z-power at least that of the structural z^k."""
+    return e[1] == 0 and e[2] >= struct[2]
 
 
-def _ce6_killer(red: _Reducer, m: ExponentVector) -> bool:
-    if m[0]:
-        _eliminate_square_variable(red, 0)
-        return True
-    g = red.current
-    if m[1] >= 2:
-        members = [e for e in g.support() if _ce6_offender(e, g) and e[1] >= 2]
-        _kill_with_struct(red, Y3, 1, members)
-        return True
-    if red.coefficient(Z4) == 0:
-        _shear_until(red, Z4, preserve=(Y3, YZ3))
-        return False
-    members = [
-        e for e in g.support() if _ce6_offender(e, g) and e[1] < 2 and e[2] >= 3
-    ]
-    _kill_with_struct(red, Z4, 2, members)
-    return True
+# y^2-divisible monomials through y^3, shearing y: the first row of every cE
+# table, and the sweep that runs before the cE flavour is decided.
+_Y3_ROW = _Rule(lambda e, s: e[1] >= 2, Y3, 1)
 
 
-def _ce7_offender(e: ExponentVector, g: Polynomial) -> bool:
-    common = _ce_offender_common(e)
-    if common is not None:
-        return common
-    if e[1] == 1:
-        return e[2] >= 2 and e != YZ3
-    pure = [d for d in g.support() if d[0] == 0 and d[1] == 0 and d[3] == 0 and d[2] > 0]
-    if not pure:
-        return False
-    k = min(d[2] for d in pure)
-    return e[2] >= k and e != (0, 0, k, 0) and e[1] == 0 and (e[2] > 0)
+def _ce_z_row(struct: ExponentVector) -> _Rule:
+    """The z row of cE6 / cE8: at most y-linear monomials with z-power at
+    least 3 / 4, through z^4 / z^5, shearing z."""
+    return _Rule(
+        lambda e, s: e[1] < 2 and e[2] >= s[2] - 1, struct, 2, preserve=(Y3, YZ3)
+    )
 
 
-def _ce7_killer(red: _Reducer, m: ExponentVector) -> bool:
-    if m[0]:
-        _eliminate_square_variable(red, 0)
-        return True
-    g = red.current
-    if m[1] >= 2:
-        members = [e for e in g.support() if _ce7_offender(e, g) and e[1] >= 2]
-        _kill_with_struct(red, Y3, 1, members)
-        return True
-    if m[1] == 1:
-        if red.coefficient(YZ3) == 0:
-            raise ReductionError(
-                f"cannot eliminate {m}: structural monomial y*z^3 is missing"
-            )
-        members = [
-            e for e in g.support() if _ce7_offender(e, g) and e[1] == 1 and e[2] >= 2
-        ]
-        _kill_with_struct(red, YZ3, 2, members)
-        return True
-    pure = [
-        d
-        for d in g.support()
-        if d[0] == 0 and d[1] == 0 and d[3] == 0 and d[2] > 0
-    ]
-    k = min(d[2] for d in pure)
-    members = [
-        e for e in g.support() if _ce7_offender(e, g) and e[1] == 0 and e[2] >= k
-    ]
-    _kill_with_struct(red, (0, 0, k, 0), 2, members)
-    return True
-
-
-def _ce8_offender(e: ExponentVector, g: Polynomial) -> bool:
-    common = _ce_offender_common(e)
-    if common is not None:
-        return common
-    return e[2] >= 4 and e != Z5
-
-
-def _ce8_killer(red: _Reducer, m: ExponentVector) -> bool:
-    if m[0]:
-        _eliminate_square_variable(red, 0)
-        return True
-    g = red.current
-    if m[1] >= 2:
-        members = [e for e in g.support() if _ce8_offender(e, g) and e[1] >= 2]
-        _kill_with_struct(red, Y3, 1, members)
-        return True
-    if red.coefficient(Z5) == 0:
-        _shear_until(red, Z5, preserve=(Y3, YZ3))
-        return False
-    members = [
-        e for e in g.support() if _ce8_offender(e, g) and e[1] < 2 and e[2] >= 4
-    ]
-    _kill_with_struct(red, Z5, 2, members)
-    return True
+_RULES: Dict[str, Tuple[_Rule, ...]] = {
+    "cD": (
+        # y- and z-divisible: the y-shear leaves the z-structural monomials
+        # alone, so these kills cannot feed the pure-z kills below.
+        _Rule(lambda e, s: e[1] >= 1 and e[2] >= 1, Y2Z, 1),
+        # z-free: the z-shear through y^2 z has z-free correction terms.
+        _Rule(lambda e, s: e[1] >= 2 and e[2] == 0, Y2Z, 2),
+        _Rule(_zt_at_or_above, _cd_pure_struct, 2, preserve=(Y2Z,)),
+    ),
+    "cE6": (_Y3_ROW, _ce_z_row(Z4)),
+    "cE7": (
+        _Y3_ROW,
+        _Rule(lambda e, s: e[1] == 1 and e[2] >= 2, YZ3, 2),
+        _Rule(_zt_at_or_above, _lowest_pure_z, 2),
+    ),
+    "cE8": (_Y3_ROW, _ce_z_row(Z5)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -724,12 +653,6 @@ def _ce_shape(kind: str, g: Polynomial):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Outcome:
-    type: SingularityType
-    certificate: Optional[NormalFormCertificate]
-
-
 def _route_cubic(red: _Reducer) -> str:
     """Normalize the cubic part and return the branch: 'cD4', 'cDn', 'cE'."""
     g3 = _cubic_part(red.current)
@@ -768,15 +691,18 @@ def _route_cubic(red: _Reducer) -> str:
     return "cD4"
 
 
-def _finish_cd(red: _Reducer) -> _Outcome:
-    _run_elimination(red, _cd_offender, _cd_killer)
+_Verdict = Tuple[SingularityType, List[ConstraintCheck]]
+
+
+def _finish_cd(red: _Reducer) -> _Verdict:
+    _run_elimination(red, _RULES["cD"])
     sig, checks, problem = _cd_shape(red.current)
     if problem is None:
-        return _Outcome(sig, None)
+        return sig, checks
     raise ReductionError(f"cD shape check failed: {problem}")
 
 
-def _try_cd4_permutations(red: _Reducer) -> _Outcome:
+def _try_cd4_permutations(red: _Reducer) -> _Verdict:
     base_poly = red.current
     base_changes = list(red.changes)
     base_budget = red.budget
@@ -798,29 +724,20 @@ def _try_cd4_permutations(red: _Reducer) -> _Outcome:
     )
 
 
-def _finish_ce(red: _Reducer) -> _Outcome:
+def _finish_ce(red: _Reducer) -> _Verdict:
     # Sweep y^2-divisible monomials first; the route decision below is
     # invariant under these kills.
-    def _sweep_kill(r, m):
-        members = [e for e in r.current.support() if e[0] == 0 and e[1] >= 2 and e != Y3]
-        _kill_with_struct(r, Y3, 1, members)
-        return True
-
-    _run_elimination(
-        red,
-        lambda e, g: e[0] == 0 and e[1] >= 2 and e != Y3,
-        _sweep_kill,
-    )
+    _run_elimination(red, (_Y3_ROW,))
     g = red.current
     c4 = _part(g, lambda e: e[0] == 0 and e[1] == 0 and total_degree(e) == 4)
     b3 = _part(g, lambda e: e[0] == 0 and e[1] == 1 and e[2] + e[3] == 3)
     c5 = _part(g, lambda e: e[0] == 0 and e[1] == 0 and total_degree(e) == 5)
     if not c4.is_zero():
-        kind, struct, offender, killer = "cE6", Z4, _ce6_offender, _ce6_killer
+        kind, struct = "cE6", Z4
     elif not b3.is_zero():
-        kind, struct, offender, killer = "cE7", YZ3, _ce7_offender, _ce7_killer
+        kind, struct = "cE7", YZ3
     elif not c5.is_zero():
-        kind, struct, offender, killer = "cE8", Z5, _ce8_offender, _ce8_killer
+        kind, struct = "cE8", Z5
     else:
         raise ReductionError(
             "neither quartic (z,t) part, cubic y-linear part, nor quintic "
@@ -828,14 +745,17 @@ def _finish_ce(red: _Reducer) -> _Outcome:
         )
     if red.coefficient(struct) == 0:
         _shear_until(red, struct, preserve=(Y3, YZ3))
-    _run_elimination(red, offender, killer)
+    _run_elimination(red, _RULES[kind])
     sig, checks, problem = _ce_shape(kind, red.current)
     if problem is not None:
         raise ReductionError(f"{kind} shape check failed: {problem}")
-    return _Outcome(sig, None)
+    return sig, checks
 
 
-def _analyze_germ(f: Polynomial, truncation: int) -> Tuple[_Outcome, _Reducer]:
+def _analyze_germ(
+    f: Polynomial, truncation: int
+) -> Tuple[SingularityType, List[ConstraintCheck], _Reducer]:
+    """(type, shape checks, reducer); the checks are empty unless cD/cE."""
     if f.is_zero():
         raise ValueError("the zero polynomial does not define a hypersurface germ")
     if f.coefficient((0, 0, 0, 0)) != 0:
@@ -843,11 +763,11 @@ def _analyze_germ(f: Polynomial, truncation: int) -> Tuple[_Outcome, _Reducer]:
     linear = _part(f, lambda e: total_degree(e) == 1)
     red = _Reducer(f, truncation)
     if not linear.is_zero():
-        return _Outcome(SingularityType("smooth"), None), red
+        return SingularityType("smooth"), [], red
     carriers = _diagonalize_quadratic(red)
     carriers = [i for i in carriers if _quadratic_matrix(red.current)[i][i] != 0]
     if not carriers:
-        return _Outcome(SingularityType("other"), None), red
+        return SingularityType("other"), [], red
     order = sorted(carriers) + [i for i in range(4) if i not in carriers]
     _permute_variables(red, order)
     rank = len(carriers)
@@ -859,23 +779,23 @@ def _analyze_germ(f: Polynomial, truncation: int) -> Tuple[_Outcome, _Reducer]:
             lambda e: all(e[i] == 0 for i in range(rank)),
         )
         if rank == 4:
-            return _Outcome(SingularityType("cA", 1), None), red
+            return SingularityType("cA", 1), [], red
         if residual.is_zero():
             red.notes.append(
                 "no residual terms after splitting the quadratic part: "
                 "non-isolated within the truncation"
             )
-            return _Outcome(SingularityType("other"), None), red
+            return SingularityType("other"), [], red
         n = residual.min_degree() - 1
-        return _Outcome(SingularityType("cA", n), None), red
+        return SingularityType("cA", n), [], red
     # rank 1: the compound D/E zone.
     _eliminate_square_variable(red, 0)
     branch = _route_cubic(red)
     if branch == "cE":
-        return _finish_ce(red), red
+        return (*_finish_ce(red), red)
     if branch == "cDn":
-        return _finish_cd(red), red
-    return _try_cd4_permutations(red), red
+        return (*_finish_cd(red), red)
+    return (*_try_cd4_permutations(red), red)
 
 
 def classify_type(f: Polynomial, truncation_degree: Optional[int] = None) -> SingularityType:
@@ -888,10 +808,10 @@ def classify_type(f: Polynomial, truncation_degree: Optional[int] = None) -> Sin
     """
     truncation = truncation_degree or default_truncation(f)
     try:
-        outcome, _red = _analyze_germ(f, truncation)
+        germ_type, _checks, _red = _analyze_germ(f, truncation)
     except ReductionError:
         return SingularityType("other")
-    return outcome.type
+    return germ_type
 
 
 def reduce_to_normal_form(
@@ -907,31 +827,25 @@ def reduce_to_normal_form(
     """
     truncation = truncation_degree or default_truncation(f)
     try:
-        outcome, red = _analyze_germ(f, truncation)
+        germ_type, checks, red = _analyze_germ(f, truncation)
     except ReductionError as err:
         err.germ_type = SingularityType("other")
         raise
-    kind = outcome.type.kind
+    kind = germ_type.kind
     if kind == "smooth":
-        raise ReductionError("the point is smooth; nothing to reduce", outcome.type)
+        raise ReductionError("the point is smooth; nothing to reduce", germ_type)
     if kind == "cA":
         raise ReductionError(
             "cA-type germ: every low-discrepancy divisor over it is rational, "
             "no cD/cE normal form applies",
-            outcome.type,
+            germ_type,
         )
     if kind == "other":
         raise ReductionError(
-            "no cD/cE normal form matches within the truncation", outcome.type
+            "no cD/cE normal form matches within the truncation", germ_type
         )
-    if kind == "cD":
-        _sig, checks, problem = _cd_shape(red.current)
-    else:
-        _sig, checks, problem = _ce_shape(kind, red.current)
-    if problem is not None:
-        raise ReductionError(problem, outcome.type)
     return NormalFormCertificate(
-        type=outcome.type,
+        type=germ_type,
         reduced=red.current,
         applied_changes=tuple(red.changes),
         satisfied_constraints=tuple(checks),

@@ -451,15 +451,6 @@ class Substitution:
         return "; ".join(parts) if parts else "identity"
 
 
-def _power_truncated(base: Polynomial, n: int, degree: int | None) -> Polynomial:
-    result = Polynomial.constant(1)
-    for _ in range(n):
-        result = result * base
-        if degree is not None:
-            result = result.truncate(degree)
-    return result
-
-
 def apply_substitution(f: Polynomial, s: Substitution) -> Polynomial:
     """Compose f with the substitution, truncating by total degree.
 
@@ -473,19 +464,18 @@ def apply_substitution(f: Polynomial, s: Substitution) -> Polynomial:
     prune = all(repl.min_degree() >= 1 for repl in s.replacements)
     interim = cutoff if prune else None
 
-    # Cache powers of each replacement as they are needed.
-    power_cache: Dict[Tuple[int, int], Polynomial] = {}
+    # powers[i][n] is the n-th power of replacement i; each new power is the
+    # one below it times the replacement.
+    powers = [[Polynomial.constant(1)] for _ in range(4)]
 
     def var_power(i: int, n: int) -> Polynomial:
-        key = (i, n)
-        cached = power_cache.get(key)
-        if cached is not None:
-            return cached
-        value = _power_truncated(s.replacements[i], n, interim)
-        power_cache[key] = value
-        return value
+        cached = powers[i]
+        while len(cached) <= n:
+            power = cached[-1] * s.replacements[i]
+            cached.append(power if interim is None else power.truncate(interim))
+        return cached[n]
 
-    total = Polynomial.zero()
+    total: Dict[ExponentVector, Fraction] = {}
     for exps, coeff in f.items():
         term = Polynomial.constant(coeff)
         for i in range(4):
@@ -493,22 +483,6 @@ def apply_substitution(f: Polynomial, s: Substitution) -> Polynomial:
                 term = term * var_power(i, exps[i])
                 if interim is not None:
                     term = term.truncate(interim)
-        total = total + term
-    return total.truncate(cutoff)
-
-
-def compose_substitutions(first: Substitution, second: Substitution) -> Substitution:
-    """The substitution equivalent to applying `first`, then `second`.
-
-    Truncation degree is the minimum of the two; agreement with sequential
-    application holds up to that common truncation.
-    """
-    cutoff = min(first.truncation_degree, second.truncation_degree)
-    repls = tuple(
-        apply_substitution(
-            first.replacements[i],
-            Substitution(second.replacements, cutoff),
-        )
-        for i in range(4)
-    )
-    return Substitution(repls, cutoff)
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return Polynomial({e: c for e, c in total.items() if total_degree(e) <= cutoff})

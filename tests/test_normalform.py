@@ -168,3 +168,27 @@ class TestReduce:
         cert = reduce_to_normal_form(f, truncation_degree=10)
         assert cert.type == SingularityType("cD", 5)
         assert replay(f.truncate(10), cert) == cert.reduced
+
+
+class TestEliminationRows:
+    """Each germ needs a different row of the elimination rule table."""
+
+    @pytest.mark.parametrize(
+        "text, label, changes",
+        [
+            # cE6: the y^2 row and the z row, each several times.
+            ("x^2 + y^3 + z^4 + z^3*t + y*z^3*t + t^5", "cE6", 7),
+            # cE8: one kill in the z row through z^5.
+            ("x^2 + y^3 + z^5 + t^5*z^3 + y*z^3*t + t^7 + z^4*t^2", "cE8", 1),
+            # cD_5: the z-free y^2 row, which shears z through y^2 z.
+            ("x^2 + y^2*z + z^4 + y^2*t^2 + t^5", "cD_5", 1),
+        ],
+    )
+    def test_row_reduces_and_replays(self, text, label, changes):
+        f = P(text)
+        cert = reduce_to_normal_form(f)
+        assert cert.type.label() == label
+        assert len(cert.applied_changes) == changes
+        assert replay(f, cert) == cert.reduced
+        again = reduce_to_normal_form(cert.reduced, cert.truncation_degree)
+        assert again.applied_changes == ()

@@ -8,7 +8,6 @@ from cdvdiv.poly import (
     Polynomial,
     Substitution,
     apply_substitution,
-    compose_substitutions,
     parse_polynomial,
     pretty,
 )
@@ -138,21 +137,6 @@ class TestSubstitution:
         f = P("y*t^5")
         s = Substitution.single("t", P("1"), truncation_degree=3)
         assert apply_substitution(f, s) == P("y")
-
-    def test_composition_matches_sequential(self):
-        rng = random.Random(19)
-        for _ in range(25):
-            f = random_polynomial(rng, max_terms=4, max_exp=3)
-            cutoff = 10
-            s1 = Substitution.single(
-                "x", P("x") - random_polynomial(rng, 2, 2).truncate(2) * P("t"), cutoff
-            )
-            s2 = Substitution.single(
-                "y", P("y") + random_polynomial(rng, 2, 2).truncate(2) * P("z"), cutoff
-            )
-            sequential = apply_substitution(apply_substitution(f, s1), s2)
-            combined = apply_substitution(f, compose_substitutions(s1, s2))
-            assert sequential == combined
 
     def test_rejects_zero_replacement(self):
         with pytest.raises(ValueError):
