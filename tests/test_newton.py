@@ -1,10 +1,16 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from cdvdiv.newton import (
     DEGENERATE,
     NONDEGENERATE_CERTIFIED,
+    NONDEGENERATE_PROBABLE,
+    _derived_terms,
+    _restricted_terms,
+    _scan_all,
     build_diagram,
     check_nondegeneracy,
     face_polynomial,
@@ -170,3 +176,138 @@ class TestNondegeneracy:
         a = singular_torus_search(f, seed=42, samples=2000)
         b = singular_torus_search(f, seed=42, samples=2000)
         assert a == b
+
+
+def _oracle_first_hit(terms, k, p):
+    """First singular torus point of a term list over GF(p), point by point.
+
+    Points are visited in row-major order (the first variable is the slow
+    one).  Raises ZeroDivisionError when a denominator vanishes mod p.
+    """
+    coeffs = []
+    for exps, c in terms:
+        c = Fraction(c)
+        if c.denominator % p == 0:
+            raise ZeroDivisionError
+        coeffs.append((exps, c.numerator * pow(c.denominator, -1, p) % p))
+    partials = []
+    for j in range(k):
+        partials.append(
+            [
+                (exps[:j] + (exps[j] - 1,) + exps[j + 1 :], c * exps[j] % p)
+                for exps, c in coeffs
+                if exps[j]
+            ]
+        )
+
+    def value(poly, point):
+        total = 0
+        for exps, c in poly:
+            for u, e in zip(point, exps):
+                c = c * pow(u, e, p) % p
+            total += c
+        return total % p
+
+    for point in itertools.product(range(1, p), repeat=k):
+        if value(coeffs, point) == 0 and all(value(d, point) == 0 for d in partials):
+            return point
+    return None
+
+
+def _scan(terms, k, p):
+    return _scan_all(terms, [_derived_terms(terms, j) for j in range(k)], k, p)
+
+
+def _terms(g, k):
+    return _restricted_terms(g, [2, 3][:k])
+
+
+P = parse_polynomial
+
+
+def _planted_cases():
+    """Seeded 1- and 2-variable polynomials (in z, t) and their variable counts."""
+    rng = random.Random(11)
+    cases = []
+    for _ in range(4):
+        a, b = rng.randint(2, 60), rng.randint(2, 60)
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        unit = P(f"{rng.randint(1, 9)} + {rng.randint(1, 9)}*z*t + t^2")
+        # a squared binomial times a unit, singular along b^n z^m = a^m t^n
+        cases.append((P(f"{b ** n}*z^{m} - {a ** m}*t^{n}") ** 2 * unit, 2))
+        # an isolated planted point (a, b)
+        cases.append((P(f"z - {a}") ** 2 + P(f"{rng.randint(1, 9)}*z") * P(f"t - {b}") ** 2, 2))
+        cases.append((P(f"z - {a}") ** 2 * P(f"z^{rng.randint(1, 4)} + {rng.randint(1, 9)}"), 1))
+    # random sparse polynomials, with and without hits
+    for _ in range(6):
+        k = rng.randint(1, 2)
+        g = Polynomial.zero()
+        for _ in range(rng.randint(3, 5)):
+            exps = (0, 0) + tuple(rng.randint(0, 6) for _ in range(k)) + (0,) * (2 - k)
+            coeff = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+            g = g + Polynomial.monomial(exps, coeff)
+        cases.append((g, k))
+    return cases
+
+
+class TestExhaustiveScan:
+    """`_scan_all` against a point-by-point evaluation over GF(p)*^k."""
+
+    @pytest.mark.parametrize("p", [101, 257])
+    @pytest.mark.parametrize("g,k", _planted_cases(), ids=lambda case: str(case))
+    def test_first_hit_matches_oracle(self, g, k, p):
+        terms = _terms(g, k)
+        assert _scan(terms, k, p) == _oracle_first_hit(terms, k, p)
+
+    def test_planted_points_are_found(self):
+        for g, k in _planted_cases()[:12]:
+            assert _scan(_terms(g, k), k, 257) is not None
+
+    def test_hit_is_first_in_row_major_order(self):
+        # Singular exactly along z = 3t: row-major meets (3, 1) first, while a
+        # column-major order would meet (3, 1) only after (1, 86) = (1, 1/3).
+        terms = _terms(P("z - 3*t") ** 2 * P("1 + z"), 2)
+        assert _scan(terms, 2, 257) == (1, 86) == _oracle_first_hit(terms, 2, 257)
+
+    @pytest.mark.parametrize("p", [101, 257])
+    def test_constant_term_and_repeated_exponents(self, p):
+        # (z - 2t)^2 + t^2 - t^2 - 4 + 4, with the cancelling monomials listed
+        # separately: equal exponents must add their coefficients.
+        terms = [
+            ((2, 0), Fraction(1)),
+            ((1, 1), Fraction(-4)),
+            ((0, 2), Fraction(5)),
+            ((0, 2), Fraction(-1)),
+            ((0, 0), Fraction(-4)),
+            ((0, 0), Fraction(4)),
+        ]
+        hit = _scan(terms, 2, p)
+        assert hit == _oracle_first_hit(terms, 2, p) == (1, (p + 1) // 2)
+        one_var = [((0,), Fraction(9)), ((2,), Fraction(1)), ((1,), Fraction(-6))]
+        assert _scan(one_var, 1, p) == _oracle_first_hit(one_var, 1, p) == (3,)
+        shifted = [((0,), Fraction(1)), ((0,), Fraction(1))] + one_var[1:]
+        assert _scan(shifted, 1, p) == _oracle_first_hit(shifted, 1, p) is None
+
+    @pytest.mark.parametrize("p", [101, 257])
+    @pytest.mark.parametrize(
+        "text,k",
+        [("z^3 + t^3 + 1 + z*t", 2), ("z^2 + t^2 + 1", 2), ("z^5 + z + 1/3", 1)],
+    )
+    def test_no_hit(self, text, k, p):
+        terms = _terms(P(text), k)
+        assert _oracle_first_hit(terms, k, p) is None
+        assert _scan(terms, k, p) is None
+
+    def test_vanishing_denominator_skips_the_prime(self):
+        g = (P("z - 3*t") ** 2 * P("2 + z")).scale(Fraction(1, 101))
+        terms = _terms(g, 2)
+        with pytest.raises(ZeroDivisionError):
+            _scan(terms, 2, 101)
+        with pytest.raises(ZeroDivisionError):
+            _oracle_first_hit(terms, 2, 101)
+        skipped = singular_torus_search(g, seed=0, scan_primes=(101,))
+        assert skipped.status == NONDEGENERATE_PROBABLE and skipped.witness is None
+        verdict = singular_torus_search(g, seed=0, scan_primes=(101, 257))
+        assert verdict.status == DEGENERATE
+        assert verdict.witness.prime == 257
+        assert verdict.witness.point == _oracle_first_hit(terms, 2, 257)

@@ -1,10 +1,13 @@
-"""`analyze --format structured` must reproduce a stored report byte for byte.
+"""`analyze` and `diagram --format structured` must reproduce stored reports byte for byte.
 
-The germs cover the paper's worked examples, one germ per row of the
-normal-form elimination table, ten perturbed normal forms (the
+The `analyze` germs cover the paper's worked examples, one germ per row of
+the normal-form elimination table, ten perturbed normal forms (the
 criterion-8 family, seed 0) and one germ whose reduction fails, so the
-warnings path is covered too.  A change that alters any of these reports
-must regenerate the fixture and explain the difference:
+warnings path is covered too.  The `diagram` germs cover faces decided by
+the exhaustive torus scan (two corpus germs, seed 0, with degenerate
+witnesses over GF(257)), a 3-variable face decided by sampling, and a
+worked example.  A change that alters any of these reports must regenerate
+the fixture and explain the difference:
 
     PYTHONPATH=src python tests/test_structured_golden.py
 """
@@ -20,7 +23,7 @@ from cdvdiv.cli import RunConfig, run
 
 FIXTURE = Path(__file__).with_name("structured_golden.json")
 
-GERMS = [
+ANALYZE_GERMS = [
     # worked examples
     "x^2 + y^2*z + z^3 + t^3",
     "x^2 + y^2*z + z^5 + t^5",
@@ -48,17 +51,31 @@ GERMS = [
     "x^2 + y^3 + z^3 + t^3",
 ]
 
+DIAGRAM_GERMS = [
+    # corpus cD_8 and cD_9, offset 0, draw 0 (seed 0)
+    "z^7 + 4*z^5*t^2 - 1/4*t^7 - 5/2*y*t^4 + y^2*z + x^2",
+    "z^8 + 7*z^6*t^2 + 5/4*t^8 + 3/2*y*t^5 + y^2*z + x^2",
+    # corpus cD_4 offset 0 draw 0: a face in y, z, t goes to the sampler
+    "y^2*z + 5/4*y*t^2 + z^3 + 9/4*z*t^2 + 7/4*t^3 + x^2",
+    # worked example
+    "x^2 + y^2*z + z^5 + t^5",
+]
 
-def structured_analyze(text: str, directory: Path):
+CASES = [("analyze", text) for text in ANALYZE_GERMS] + [
+    ("diagram", text) for text in DIAGRAM_GERMS
+]
+
+
+def structured_report(command: str, text: str, directory: Path):
     path = directory / "germ.txt"
     path.write_text(text + "\n", encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     status = run(
-        RunConfig(command="analyze", input_path=str(path), output_format="structured"),
+        RunConfig(command=command, input_path=str(path), output_format="structured"),
         out,
         err,
     )
-    return {"input": text, "status": status, "stdout": out.getvalue()}
+    return {"command": command, "input": text, "status": status, "stdout": out.getvalue()}
 
 
 def _expected():
@@ -66,17 +83,17 @@ def _expected():
 
 
 def test_fixture_lists_the_germs():
-    assert [entry["input"] for entry in _expected()] == GERMS
+    assert [(entry["command"], entry["input"]) for entry in _expected()] == CASES
 
 
-@pytest.mark.parametrize("index", range(len(GERMS)))
+@pytest.mark.parametrize("index", range(len(CASES)))
 def test_report_is_byte_identical(index, tmp_path):
     expected = _expected()[index]
-    assert structured_analyze(expected["input"], tmp_path) == expected
+    assert structured_report(expected["command"], expected["input"], tmp_path) == expected
 
 
 def test_failed_reduction_warns():
-    doc = json.loads(_expected()[-1]["stdout"])["report"]
+    doc = json.loads(_expected()[len(ANALYZE_GERMS) - 1]["stdout"])["report"]
     assert doc["normal_form"] is None
     assert doc["warnings"]
 
@@ -85,6 +102,6 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        entries = [structured_analyze(text, Path(tmp)) for text in GERMS]
+        entries = [structured_report(command, text, Path(tmp)) for command, text in CASES]
     FIXTURE.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     sys.exit(0)
