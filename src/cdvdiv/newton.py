@@ -345,15 +345,19 @@ def _derived_terms(terms, j: int):
     return out
 
 
-def _search_grid(terms, partials, cols, p):
-    """Indices where the polynomial and all partials vanish simultaneously."""
-    mask = _eval_terms_mod(terms, cols, p) == 0
+def _search_grid(terms, partials, evaluate):
+    """First index where the polynomial and all partials vanish simultaneously.
+
+    `evaluate(terms)` returns the values mod p at every point; the partials
+    are evaluated only while some point is left.
+    """
+    mask = evaluate(terms) == 0
     if not mask.any():
         return None
     for dterms in partials:
         if not dterms:
             continue
-        mask &= _eval_terms_mod(dterms, cols, p) == 0
+        mask &= evaluate(dterms) == 0
         if not mask.any():
             return None
     idx = np.nonzero(mask)[0]
@@ -416,7 +420,9 @@ def singular_torus_search(
             cols = [
                 rng.integers(1, p, size=per_prime, dtype=np.int64) for _ in range(k)
             ]
-            hit = _search_grid(terms, partials, cols, p)
+            hit = _search_grid(
+                terms, partials, lambda t: _eval_terms_mod(t, cols, p)
+            )
         except ZeroDivisionError:
             continue
         if hit is not None:
@@ -429,17 +435,42 @@ def singular_torus_search(
     )
 
 
-def _scan_all(terms, partials, k: int, p: int):
+def _power_table(top: int, p: int) -> np.ndarray:
+    """V[i, e] = u_i^e mod p over the units u = 1..p-1, for e = 0..top."""
     units = np.arange(1, p, dtype=np.int64)
-    if k == 1:
-        cols = [units]
-    else:
-        a, b = np.meshgrid(units, units, indexing="ij")
-        cols = [a.ravel(), b.ravel()]
-    hit = _search_grid(terms, partials, cols, p)
+    table = np.ones((p - 1, top + 1), dtype=np.int64)
+    for e in range(1, top + 1):
+        table[:, e] = table[:, e - 1] * units % p
+    return table
+
+
+def _grid_values(terms, tables: List[np.ndarray], p: int) -> np.ndarray:
+    """Values mod p on the whole torus grid, in row-major order."""
+    coeffs = np.zeros(tuple(table.shape[1] for table in tables), dtype=np.int64)
+    for exps, coeff in terms:
+        coeffs[exps] = (coeffs[exps] + _fraction_mod(coeff, p)) % p
+    values = tables[0] @ coeffs % p
+    if len(tables) == 2:
+        values = values @ tables[1].T % p
+    return values.ravel()
+
+
+def _scan_all(terms, partials, k: int, p: int):
+    """First singular point of the terms on the torus GF(p)*^k (k <= 2), or None.
+
+    With power tables V_j over the units and the dense coefficient array C,
+    the values on the grid are V_1 C (k = 1) or V_1 C V_2^T (k = 2); points
+    are visited with the first variable varying slowest.  Every product
+    entry is a sum of at most top + 1 terms below p^2, checked to fit int64.
+    """
+    tops = [max(exps[j] for exps, _ in terms) for j in range(k)]
+    if (max(tops) + 1) * (p - 1) ** 2 > np.iinfo(np.int64).max:
+        raise OverflowError(f"GF({p}) scan products would overflow int64")
+    tables = [_power_table(top, p) for top in tops]
+    hit = _search_grid(terms, partials, lambda t: _grid_values(t, tables, p))
     if hit is None:
         return None
-    return tuple(int(col[hit]) for col in cols)
+    return tuple(int(i) + 1 for i in np.unravel_index(hit, (p - 1,) * k))
 
 
 def _witness_verdict(g, names, var_idx, point, p) -> FaceVerdict:

@@ -298,6 +298,12 @@ class TestExhaustiveScan:
         assert _oracle_first_hit(terms, k, p) is None
         assert _scan(terms, k, p) is None
 
+    def test_products_that_could_overflow_are_refused(self):
+        # (top + 1) * (p - 1)^2 >= 2^63: refused before any table is built
+        terms = [((1,), Fraction(1)), ((0,), Fraction(1))]
+        with pytest.raises(OverflowError):
+            _scan(terms, 1, 2**31 + 11)
+
     def test_vanishing_denominator_skips_the_prime(self):
         g = (P("z - 3*t") ** 2 * P("2 + z")).scale(Fraction(1, 101))
         terms = _terms(g, 2)
