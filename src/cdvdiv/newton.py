@@ -7,7 +7,8 @@ vectors.  Enumeration is brute force and exact:
   1. candidate facet hyperplanes are spanned by up to 4 support points
      together with coordinate recession directions; their integer normals
      come from the generalized cross product in Z^4;
-  2. supporting hyperplanes with a 3-dimensional tight set are the facets;
+  2. supporting hyperplanes with a 3-dimensional tight set are the facets
+     (dimensions come from fraction-free integer elimination);
   3. every proper face is an intersection of facets, so closing the facet
      list under pairwise intersection yields the whole face lattice, and the
      faces with no recession direction are the compact ones.
@@ -20,8 +21,11 @@ The module also hosts the non-degeneracy checker: a face polynomial is
 certified non-degenerate by a symbolic rule (monomial/binomial, or a partial
 derivative that is a single monomial), and otherwise searched for singular
 torus points over prime fields - exhaustively for at most 2 effective
-variables, by seeded random sampling above that.  Probabilistic verdicts are
-explicitly labelled and never silently trusted.
+variables, by seeded random sampling above that.  The exhaustive scan
+evaluates a polynomial on the whole grid GF(p)*^k at once as a power-table
+matrix product, V_1 C (k = 1) or V_1 C V_2^T (k = 2), where V_j[i, e] = u_i^e
+over the units u and C holds the coefficients mod p.  Probabilistic verdicts
+are explicitly labelled and never silently trusted.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -94,34 +99,30 @@ def _cross4(u: Sequence[int], v: Sequence[int], s: Sequence[int]) -> Tuple[int, 
 
 
 def _affine_rank(points: Sequence[Sequence[int]], rays: Sequence[Sequence[int]] = ()) -> int:
-    """Dimension of the affine hull of `points` plus directions `rays`."""
+    """Dimension of the affine hull of `points` plus directions `rays`.
+
+    Fraction-free elimination on integer rows: each pivot row clears its
+    column from the others by row -> a*row - row[col]*pivot (a the pivot
+    entry), and zero rows are dropped, so the rank is the number of pivots.
+    """
     if not points:
         return -1
     base = points[0]
-    rows = [list(_sub(tuple(p), tuple(base))) for p in points[1:]]
-    rows += [list(r) for r in rays]
-    rows = [[Fraction(c) for c in row] for row in rows]
+    rows = [_sub(p, base) for p in points[1:]] + [tuple(r) for r in rays]
+    rows = [row for row in rows if any(row)]
     rank = 0
-    cols = 4
-    pivot_col = 0
-    r = 0
-    while r < len(rows) and pivot_col < cols:
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][pivot_col] != 0:
-                pivot = i
-                break
+    for col in range(4):
+        pivot = next((row for row in rows if row[col]), None)
         if pivot is None:
-            pivot_col += 1
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][pivot_col] != 0:
-                factor = rows[i][pivot_col] / rows[r][pivot_col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        a = pivot[col]
+        # the pivot row reduces to zero and is dropped with the others
+        rows = [
+            tuple(a * x - row[col] * y for x, y in zip(row, pivot)) if row[col] else row
+            for row in rows
+        ]
+        rows = [row for row in rows if any(row)]
         rank += 1
-        r += 1
-        pivot_col += 1
     return rank
 
 
@@ -145,15 +146,16 @@ class NewtonDiagram:
     vertices: Tuple[ExponentVector, ...]
     faces: Tuple[Face, ...]
 
+    @cached_property
+    def _faces_by_points(self) -> Dict[Tuple[ExponentVector, ...], Face]:
+        return {face.lattice_points: face for face in self.faces}
+
     def face_of_weight(self, w: Sequence[int]) -> Face | None:
         """The compact face minimized by the strictly positive weight w."""
         support = self.source.support()
         m = min(_dot(w, v) for v in support)
         tight = tuple(sorted((v for v in support if _dot(w, v) == m), key=grlex_key))
-        for face in self.faces:
-            if face.lattice_points == tight:
-                return face
-        return None
+        return self._faces_by_points.get(tight)
 
 
 def _facets(support: Sequence[ExponentVector]):

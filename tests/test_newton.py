@@ -1,13 +1,16 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from cdvdiv.newton import (
     DEGENERATE,
     NONDEGENERATE_CERTIFIED,
     NONDEGENERATE_PROBABLE,
+    _affine_rank,
     _derived_terms,
     _restricted_terms,
     _scan_all,
@@ -85,6 +88,47 @@ class TestBuildDiagram:
         top = [f for f in d.faces if f.dimension == 3]
         assert len(top) == 1
         assert set(top[0].lattice_points) == set(EXAMPLE_CE8.support())
+
+
+class TestAffineRank:
+    def test_matches_sympy_rank(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            points = [
+                tuple(rng.randint(-3, 3) for _ in range(4))
+                for _ in range(rng.randint(1, 6))
+            ]
+            if rng.random() < 0.5:  # force dependent rows
+                a, b = points[0], points[-1]
+                points.append(tuple(2 * y - x for x, y in zip(a, b)))
+            rays = rng.sample(
+                [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], rng.randint(0, 2)
+            )
+            rows = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+            rows += [list(r) for r in rays]
+            expected = sympy.Matrix(rows).rank() if rows else 0
+            assert _affine_rank(points, rays) == expected
+
+    def test_empty_and_repeated_points(self):
+        assert _affine_rank([]) == -1
+        assert _affine_rank([(1, 2, 3, 4)] * 3) == 0
+        assert _affine_rank([(0, 0, 0, 0), (2, 4, 0, 0), (1, 2, 0, 0)]) == 1
+
+
+class TestFaceOfWeight:
+    def test_witness_finds_its_face(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            d = build_diagram(random_support_polynomial(rng))
+            for face in d.faces:
+                assert d.face_of_weight(face.witness) is face
+
+    def test_tight_set_that_is_not_a_listed_face(self):
+        d = build_diagram(EXAMPLE_CD4)
+        missing = d.faces[-1]
+        trimmed = dataclasses.replace(d, faces=d.faces[:-1])
+        assert trimmed.face_of_weight(missing.witness) is None
+        assert d.face_of_weight(missing.witness) is missing
 
 
 class TestSupportValue:
