@@ -21,11 +21,9 @@ The module also hosts the non-degeneracy checker: a face polynomial is
 certified non-degenerate by a symbolic rule (monomial/binomial, or a partial
 derivative that is a single monomial), and otherwise searched for singular
 torus points over prime fields - exhaustively for at most 2 effective
-variables, by seeded random sampling above that.  The exhaustive scan
-evaluates a polynomial on the whole grid GF(p)*^k at once as a power-table
-matrix product, V_1 C (k = 1) or V_1 C V_2^T (k = 2), where V_j[i, e] = u_i^e
-over the units u and C holds the coefficients mod p.  Probabilistic verdicts
-are explicitly labelled and never silently trusted.
+variables, as a power-table matrix product over the whole grid GF(p)*^k,
+by seeded random sampling above that.  Probabilistic verdicts are
+explicitly labelled and never silently trusted.
 """
 
 from __future__ import annotations
@@ -109,7 +107,6 @@ def _affine_rank(points: Sequence[Sequence[int]], rays: Sequence[Sequence[int]] 
         return -1
     base = points[0]
     rows = [_sub(p, base) for p in points[1:]] + [tuple(r) for r in rays]
-    rows = [row for row in rows if any(row)]
     rank = 0
     for col in range(4):
         pivot = next((row for row in rows if row[col]), None)
