@@ -6,22 +6,35 @@ criterion-8 family, seed 0) and one germ whose reduction fails, so the
 warnings path is covered too.  The `diagram` germs cover faces decided by
 the exhaustive torus scan (two corpus germs, seed 0, with degenerate
 witnesses over GF(257)), a 3-variable face decided by sampling, and a
-worked example.  A change that alters any of these reports must regenerate
-the fixture and explain the difference:
+worked example.
+
+A second fixture stores the normal-form certificate (type, reduced
+polynomial, every change's `describe()`, constraints, notes and truncation
+degree) of each germ of the benchmark's seed-0 `reduction` workload that
+reduces within 10 s, and the error text of those that are refused.  A
+change that alters any of these must regenerate both fixtures and explain
+the difference:
 
     PYTHONPATH=src python tests/test_structured_golden.py
 """
 
 import io
 import json
+import signal
 import sys
 from pathlib import Path
 
 import pytest
 
 from cdvdiv.cli import RunConfig, run
+from cdvdiv.normalform import ReductionError, reduce_to_normal_form
+from cdvdiv.poly import parse_polynomial, pretty
 
 FIXTURE = Path(__file__).with_name("structured_golden.json")
+REDUCTION_FIXTURE = Path(__file__).with_name("reduction_golden.json")
+# Germs of the fixture's source workload that take longer than this are
+# left out of it.
+REDUCTION_LIMIT_S = 10
 
 ANALYZE_GERMS = [
     # worked examples
@@ -92,6 +105,68 @@ def test_report_is_byte_identical(index, tmp_path):
     assert structured_report(expected["command"], expected["input"], tmp_path) == expected
 
 
+def reduction_record(label: str, text: str):
+    record = {"label": label, "input": text}
+    try:
+        cert = reduce_to_normal_form(parse_polynomial(text))
+    except ReductionError as exc:
+        record["error"] = str(exc)
+        return record
+    record.update(
+        type=cert.type.label(),
+        reduced=pretty(cert.reduced),
+        changes=[sub.describe() for sub in cert.applied_changes],
+        constraints=[[check.name, check.holds] for check in cert.satisfied_constraints],
+        notes=list(cert.notes),
+        truncation_degree=cert.truncation_degree,
+    )
+    return record
+
+
+def _reduction_expected():
+    return json.loads(REDUCTION_FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_reduction_fixture_covers_success_and_refusal():
+    expected = _reduction_expected()
+    assert any("error" in entry for entry in expected)
+    assert sum("reduced" in entry for entry in expected) >= 50
+
+
+@pytest.mark.parametrize("index", range(len(_reduction_expected())))
+def test_reduction_certificate_is_identical(index):
+    expected = _reduction_expected()[index]
+    assert reduction_record(expected["label"], expected["input"]) == expected
+
+
+def _timed_reduction_records():
+    """Records of the seed-0 `reduction` workload germs that finish in time."""
+
+    class _Late(Exception):
+        pass
+
+    def _alarm(_signum, _frame):
+        raise _Late
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    from workloads import reduction_inputs
+
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    records = []
+    try:
+        for inp in reduction_inputs(0, tiny=False):
+            signal.alarm(REDUCTION_LIMIT_S)
+            try:
+                records.append(reduction_record(inp.label, pretty(inp.polynomial)))
+            except _Late:
+                print(f"left out (over {REDUCTION_LIMIT_S} s): {inp.label}", file=sys.stderr)
+            finally:
+                signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    return records
+
+
 def test_failed_reduction_warns():
     doc = json.loads(_expected()[len(ANALYZE_GERMS) - 1]["stdout"])["report"]
     assert doc["normal_form"] is None
@@ -104,4 +179,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         entries = [structured_report(command, text, Path(tmp)) for command, text in CASES]
     FIXTURE.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    REDUCTION_FIXTURE.write_text(
+        json.dumps(_timed_reduction_records(), indent=1) + "\n", encoding="utf-8"
+    )
     sys.exit(0)
