@@ -37,16 +37,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from cdvdiv.factorize import rational_factors
 from cdvdiv.poly import (
     ExponentVector,
+    Graded,
     Polynomial,
     Substitution,
     VARS,
+    ZERO_EXPONENT,
     apply_substitution,
+    from_integers,
     grlex_key,
+    integer_form,
+    mul_graded,
     total_degree,
 )
 
@@ -221,19 +227,27 @@ def _permute_variables(red: _Reducer, order: Sequence[int]) -> None:
     red.apply(Substitution(tuple(repls), red.truncation))
 
 
-def _binomial_half_series(u: Polynomial, truncation: int) -> Polynomial:
-    """Truncated power series of (1 + u)^(-1/2); u must have min degree >= 1."""
-    series = Polynomial.constant(1)
-    coeff = Fraction(1)
-    power = Polynomial.constant(1)
-    max_j = truncation // max(1, u.min_degree()) + 1
-    for j in range(1, max_j + 1):
-        coeff = coeff * Fraction(-(2 * j - 1), 2 * j)
-        power = (power * u).truncate(truncation)
-        if power.is_zero():
-            break
-        series = series + power.scale(coeff)
-    return series.truncate(truncation)
+def _binomial_half_series(u: Polynomial, degree: int) -> Polynomial:
+    """(1 + u)^(-1/2) as a power series truncated at `degree`.
+
+    u must have minimal degree >= 1.  With u = N/d the j-th term is
+    (-1)^j C(2j, j) N^j / (4d)^j, so the terms are summed as integers over
+    (4d)^J, J the last power that reaches `degree`; each power of N is the
+    one below it times N, truncated as it is formed.
+    """
+    form, den = integer_form(u)
+    last = degree // u.min_degree()
+    base = 4 * den
+    total: Dict[ExponentVector, int] = {}
+    power: Graded = [{ZERO_EXPONENT: 1}]
+    for j in range(last + 1):
+        if j:
+            power = mul_graded(power, form, degree, release=True)
+        weight = (-1) ** j * comb(2 * j, j) * base ** (last - j)
+        for group in power:
+            for e, c in group.items():
+                total[e] = total.get(e, 0) + weight * c
+    return from_integers(total, base**last)
 
 
 def _eliminate_square_variable(red: _Reducer, var_index: int) -> None:
@@ -245,48 +259,58 @@ def _eliminate_square_variable(red: _Reducer, var_index: int) -> None:
     (v <- v (1 + U)^(-1/2)).  Every round at least doubles the headroom of
     the lowest offender, so only O(log truncation) substitutions are needed.
     """
-    square = tuple(2 if i == var_index else 0 for i in range(4))
-    name = VARS[var_index]
     previous_min = None
     while True:
-        offenders = [
-            e for e in red.current.support() if e[var_index] >= 1 and e != square
-        ]
-        if not offenders:
+        step = _square_round(red, var_index, previous_min)
+        if step is None:
             return
-        lowest = grlex_key(min(offenders, key=grlex_key))
-        if previous_min is not None and lowest <= previous_min:
-            raise ReductionError(f"no progress while eliminating {name}-monomials")
-        previous_min = lowest
-        c = red.coefficient(square)
-        if c == 0:
-            raise ReductionError(
-                f"cannot remove {min(offenders)}: the square {name}^2 is missing"
-            )
-        linear = {}
-        higher = {}
-        for e in offenders:
-            coeff = red.coefficient(e)
-            if e[var_index] == 1:
-                rest = tuple(0 if i == var_index else e[i] for i in range(4))
-                linear[rest] = coeff
-            else:
-                u_exps = tuple(e[i] - square[i] for i in range(4))
-                higher[u_exps] = coeff / c
-        # Batch the phase the lowest offender belongs to; the other phase's
-        # terms are untouched at first order, so this is what guarantees the
-        # strict progress checked above.
-        lin_min = min(
-            (grlex_key(e) for e in offenders if e[var_index] == 1), default=None
+        previous_min, repl = step
+        red.single(VARS[var_index], repl)
+
+
+def _square_round(red: _Reducer, var_index: int, previous_min):
+    """(grlex key of the lowest offender, replacement) of the next round of
+    `_eliminate_square_variable`, or None when no offender is left.
+
+    Built apart from the substitution, so that the offender maps are freed
+    before it runs.
+    """
+    square = tuple(2 if i == var_index else 0 for i in range(4))
+    name = VARS[var_index]
+    offenders = [e for e in red.current.support() if e[var_index] >= 1 and e != square]
+    if not offenders:
+        return None
+    lowest = grlex_key(min(offenders, key=grlex_key))
+    if previous_min is not None and lowest <= previous_min:
+        raise ReductionError(f"no progress while eliminating {name}-monomials")
+    c = red.coefficient(square)
+    if c == 0:
+        raise ReductionError(
+            f"cannot remove {min(offenders)}: the square {name}^2 is missing"
         )
-        if lin_min is not None and lin_min == lowest:
-            repl = Polynomial.variable(name) - Polynomial(linear).scale(
-                Fraction(1, 2) / c
-            )
-        else:
-            series = _binomial_half_series(Polynomial(higher), red.truncation)
-            repl = (Polynomial.variable(name) * series).truncate(red.truncation)
-        red.single(name, repl)
+    # Batch the phase the lowest offender belongs to; the other phase's
+    # terms are untouched at first order, so this is what guarantees the
+    # strict progress checked above.
+    lin_min = min((grlex_key(e) for e in offenders if e[var_index] == 1), default=None)
+    if lin_min is not None and lin_min == lowest:
+        linear = {
+            tuple(0 if i == var_index else e[i] for i in range(4)): red.coefficient(e)
+            for e in offenders
+            if e[var_index] == 1
+        }
+        return lowest, Polynomial.variable(name) - Polynomial(linear).scale(
+            Fraction(1, 2) / c
+        )
+    higher = {
+        tuple(e[i] - square[i] for i in range(4)): red.coefficient(e) / c
+        for e in offenders
+        if e[var_index] >= 2
+    }
+    # v * series is truncated at the cutoff, so the series stops one degree
+    # below it.
+    return lowest, Polynomial.variable(name) * _binomial_half_series(
+        Polynomial(higher), red.truncation - 1
+    )
 
 
 def _part(f: Polynomial, predicate) -> Polynomial:

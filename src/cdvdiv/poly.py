@@ -22,13 +22,24 @@ The module also provides the textual input grammar
 (whitespace insignificant; a leading sign on the first term is accepted),
 and truncated substitution of polynomials for variables, which is the engine
 behind the coordinate changes used by the normal-form reduction.
+
+Substitution runs on an integer form.  Each replacement is written once as
+an integer term map over one denominator and grouped by total degree
+(`_integer_form`), the terms of the input share one common denominator, and
+the hot loops add and multiply Python ints; a `Fraction` is built only for
+each output term.  Products are truncated while they are formed
+(`_mul_graded`): when every replacement has minimal degree >= 1, a product
+term above the cutoff can only gain degree in later factors, so it is never
+formed.  Exact arithmetic makes the order of summation irrelevant, so the
+result is the one the full expansion truncates to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from math import lcm
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 VARS: Tuple[str, str, str, str] = ("x", "y", "z", "t")
 VAR_INDEX: Dict[str, int] = {v: i for i, v in enumerate(VARS)}
@@ -48,10 +59,6 @@ def grlex_key(e: ExponentVector) -> Tuple[int, ExponentVector]:
     return (total_degree(e), e)
 
 
-def _merge_exponents(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
 class Polynomial:
     """Immutable sparse polynomial in x, y, z, t with Fraction coefficients."""
 
@@ -63,7 +70,8 @@ class Polynomial:
             for exps, coeff in terms.items():
                 if any(e < 0 for e in exps) or len(exps) != 4:
                     raise ValueError(f"invalid exponent vector {exps!r}")
-                coeff = Fraction(coeff)
+                if type(coeff) is not Fraction:  # a Fraction is shared, not copied
+                    coeff = Fraction(coeff)
                 if coeff != 0:
                     cleaned[tuple(exps)] = coeff
         self._terms = cleaned
@@ -157,11 +165,12 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e)
+            s = c if s is None else s + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
+                del out[e]
         result = Polynomial.__new__(Polynomial)
         result._terms = out
         return result
@@ -173,12 +182,13 @@ class Polynomial:
         out: Dict[ExponentVector, Fraction] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
-                e = _merge_exponents(ea, eb)
-                s = out.get(e, Fraction(0)) + ca * cb
+                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
+                s = out.get(e)
+                s = ca * cb if s is None else s + ca * cb
                 if s:
                     out[e] = s
                 else:
-                    out.pop(e, None)
+                    del out[e]
         result = Polynomial.__new__(Polynomial)
         result._terms = out
         return result
@@ -451,38 +461,150 @@ class Substitution:
         return "; ".join(parts) if parts else "identity"
 
 
+# An integer polynomial grouped by total degree: entry d maps the exponent
+# vectors of degree d to integer coefficients.
+Graded = List[Dict[ExponentVector, int]]
+
+
+def integer_form(poly: Polynomial) -> Tuple[Graded, int]:
+    """(graded integer term map, denominator) whose quotient is poly."""
+    den = 1
+    for c in poly._terms.values():
+        den = lcm(den, c.denominator)
+    graded: Graded = [{} for _ in range(poly.degree() + 1)]
+    for e, c in poly._terms.items():
+        graded[total_degree(e)][e] = c.numerator * (den // c.denominator)
+    return graded, den
+
+
+def from_integers(terms: Dict[ExponentVector, int], den: int) -> Polynomial:
+    """The polynomial terms / den, built in place of `terms` (zeros dropped)."""
+    for e in [e for e, c in terms.items() if not c]:
+        del terms[e]
+    for e, c in terms.items():
+        terms[e] = Fraction(c, den)
+    result = Polynomial.__new__(Polynomial)
+    result._terms = terms
+    return result
+
+
+def mul_graded(a: Graded, b: Graded, room: Optional[int], release: bool = False) -> Graded:
+    """The product a*b without its terms above degree `room` (None: all).
+
+    No pair past the bound is multiplied: for a's terms of degree da only
+    b's groups up to degree room - da are visited.  With `release`, the list
+    a drops each group once it is used, so that a power rolled up by this
+    product does not hold two powers at once.
+    """
+    top = len(a) + len(b) - 2
+    if room is not None:
+        top = min(top, room)
+    if a == [{ZERO_EXPONENT: 1}]:
+        return b[: top + 1]  # b's own groups, not a copy
+    out: Graded = [{} for _ in range(top + 1)]
+    for da in range(min(len(a), top + 1)):
+        group = a[da]
+        if release:
+            a[da] = {}
+        for (a0, a1, a2, a3), ca in group.items():
+            for db in range(min(len(b), top - da + 1)):
+                target = out[da + db]
+                for (b0, b1, b2, b3), cb in b[db].items():
+                    e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                    s = target.get(e)
+                    target[e] = ca * cb if s is None else s + ca * cb
+    for group in out:
+        for e in [e for e, c in group.items() if not c]:
+            del group[e]
+    return out
+
+
 def apply_substitution(f: Polynomial, s: Substitution) -> Polynomial:
     """Compose f with the substitution, truncating by total degree.
 
     The result is exactly (f after replacement) with all terms of total
-    degree > s.truncation_degree discarded.  Intermediate products are only
-    pruned when every replacement has minimal degree >= 1 (then pruned terms
-    can never contribute below the cutoff); otherwise the composition is
-    expanded fully before the final truncation.
+    degree > s.truncation_degree discarded.
+
+    A variable whose replacement is itself only shifts monomials.  Each
+    moved variable's replacement is put once into integer form N_i / d_i,
+    grouped by degree, and f's terms share the common denominator of
+    c * prod d_i^e_i over its terms c x^e, read off the denominators alone;
+    the sums below are of Python ints, and each output term becomes one
+    `Fraction`.
+
+    f's terms are walked by ascending exponent of the first moved variable,
+    whose power rolls up one factor at a time, so one power of it is alive
+    at a time; the powers of any other moved variable are cached.
+
+    When every replacement has minimal degree >= 1, each factor still to be
+    multiplied into a partial product raises its degree by at least that
+    factor's exponent, so a partial term that cannot land at or below the
+    cutoff is never formed: the rolling power stops at the cutoff less the
+    least degree the rest of any remaining term contributes.  A replacement
+    with a constant term runs the same loop with no bound on the products,
+    and only the final shift is truncated.
     """
     cutoff = s.truncation_degree
-    prune = all(repl.min_degree() >= 1 for repl in s.replacements)
-    interim = cutoff if prune else None
+    moved = [i for i, v in enumerate(VARS) if s.replacements[i] != Polynomial.variable(v)]
+    if not moved:
+        return f.truncate(cutoff)
+    bounded = all(s.replacements[i].min_degree() >= 1 for i in moved)
+    forms = {i: integer_form(s.replacements[i]) for i in moved}
+    lead, others = moved[0], moved[1:]
+    fixed = tuple(0 if i in moved else 1 for i in range(4))
 
-    # powers[i][n] is the n-th power of replacement i; each new power is the
-    # one below it times the replacement.
-    powers = [[Polynomial.constant(1)] for _ in range(4)]
+    den_powers = {i: [forms[i][1] ** n for n in range(f.max_exponent(i) + 1)] for i in moved}
 
-    def var_power(i: int, n: int) -> Polynomial:
-        cached = powers[i]
-        while len(cached) <= n:
-            power = cached[-1] * s.replacements[i]
-            cached.append(power if interim is None else power.truncate(interim))
-        return cached[n]
+    def denominator(e: ExponentVector, c: Fraction) -> int:
+        den = c.denominator
+        for i in moved:
+            den *= den_powers[i][e[i]]
+        return den
 
-    total: Dict[ExponentVector, Fraction] = {}
-    for exps, coeff in f.items():
-        term = Polynomial.constant(coeff)
-        for i in range(4):
-            if exps[i]:
-                term = term * var_power(i, exps[i])
-                if interim is not None:
-                    term = term.truncate(interim)
-        for e, c in term.items():
-            total[e] = total.get(e, 0) + c
-    return Polynomial({e: c for e, c in total.items() if total_degree(e) <= cutoff})
+    # f's exponents by the exponent of the lead variable, and floors[n]: the
+    # least degree that a term of bucket n or above gains besides its power
+    # of the lead variable.
+    buckets: List[List[ExponentVector]] = [[] for _ in range(f.max_exponent(lead) + 1)]
+    common = 1
+    for e, c in f._terms.items():
+        buckets[e[lead]].append(e)
+        common = lcm(common, denominator(e, c))
+    floors = [0] * len(buckets)
+    floor = cutoff + 1
+    for n in range(len(buckets) - 1, -1, -1):
+        floor = min([floor] + [total_degree(e) - n for e in buckets[n]])
+        floors[n] = floor
+
+    cached = {i: [[{ZERO_EXPONENT: 1}]] for i in others}
+
+    def other_power(i: int, n: int) -> Graded:
+        powers = cached[i]
+        while len(powers) <= n:
+            powers.append(mul_graded(powers[-1], forms[i][0], cutoff if bounded else None))
+        return powers[n]
+
+    total: Dict[ExponentVector, int] = {}
+    power: Graded = [{ZERO_EXPONENT: 1}]
+    have = 0
+    for n, bucket in enumerate(buckets):
+        if not bucket:
+            continue
+        while have < n:
+            bound = cutoff - floors[n] if bounded else None
+            power = mul_graded(power, forms[lead][0], bound, release=True)
+            have += 1
+        for e in bucket:
+            shift = (e[0] * fixed[0], e[1] * fixed[1], e[2] * fixed[2], e[3] * fixed[3])
+            room = cutoff - total_degree(shift)
+            product = power
+            for i in others:
+                if e[i]:
+                    product = mul_graded(product, other_power(i, e[i]), room if bounded else None)
+            c = f._terms[e]
+            scale = c.numerator * (common // denominator(e, c))
+            for d in range(min(len(product), room + 1)):
+                for ep, cp in product[d].items():
+                    key = (ep[0] + shift[0], ep[1] + shift[1], ep[2] + shift[2], ep[3] + shift[3])
+                    acc = total.get(key)
+                    total[key] = scale * cp if acc is None else acc + scale * cp
+    return from_integers(total, common)

@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from cdvdiv.normalform import _binomial_half_series
 from cdvdiv.poly import (
+    VARS,
     ParseError,
     Polynomial,
     Substitution,
     apply_substitution,
+    from_integers,
+    integer_form,
+    mul_graded,
     parse_polynomial,
     pretty,
 )
@@ -145,6 +150,208 @@ class TestSubstitution:
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):
             Substitution.identity(truncation_degree=0)
+
+
+# Denominators of the oracle tests' coefficients: several distinct primes and
+# prime powers, so that common denominators and their powers are exercised.
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 9)
+
+
+def random_coefficient(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice(DENOMINATORS))
+
+
+def random_terms(rng, count, min_degree, max_degree):
+    """A polynomial with up to `count` terms of degree min_degree..max_degree."""
+    terms = {}
+    for _ in range(count):
+        degree = rng.randint(min_degree, max_degree)
+        exps = [0, 0, 0, 0]
+        for _ in range(degree):
+            exps[rng.randrange(4)] += 1
+        terms[tuple(exps)] = random_coefficient(rng)
+    return Polynomial(terms)
+
+
+def expanded(f, s):
+    """The composition by full expansion with `__mul__`, truncated after."""
+    total = Polynomial.zero()
+    for exps, coeff in f.items():
+        term = Polynomial.constant(coeff)
+        for repl, power in zip(s.replacements, exps):
+            term = term * repl**power
+        total = total + term
+    return total.truncate(s.truncation_degree)
+
+
+def assert_matches_expansion(f, s):
+    result = apply_substitution(f, s)
+    assert result == expanded(f, s)
+    assert all(coeff != 0 for _exps, coeff in result.items())
+
+
+def truncated_product(a, b, degree, release=False):
+    (graded_a, den_a), (graded_b, den_b) = integer_form(a), integer_form(b)
+    terms = {}
+    for group in mul_graded(graded_a, graded_b, degree, release=release):
+        terms.update(group)
+    return from_integers(terms, den_a * den_b)
+
+
+def series_by_powers(u, truncation):
+    """(1 + u)^(-1/2) summed from whole powers of u, each truncated after."""
+    series = Polynomial.constant(1)
+    coeff = Fraction(1)
+    power = Polynomial.constant(1)
+    for j in range(1, truncation // u.min_degree() + 2):
+        coeff = coeff * Fraction(-(2 * j - 1), 2 * j)
+        power = (power * u).truncate(truncation)
+        if power.is_zero():
+            break
+        series = series + power.scale(coeff)
+    return series.truncate(truncation)
+
+
+class TestSubstitutionOracle:
+    """The truncated integer kernel against the full expansion."""
+
+    def test_single_variable_replacements(self):
+        rng = random.Random(101)
+        for _ in range(60):
+            f = random_terms(rng, rng.randint(1, 10), 0, 7)
+            var = rng.choice(VARS)
+            repl = Polynomial.variable(var) + random_terms(rng, rng.randint(1, 6), 1, 5)
+            assert_matches_expansion(f, Substitution.single(var, repl, rng.randint(1, 14)))
+
+    def test_replacement_without_the_variable_itself(self):
+        rng = random.Random(102)
+        for _ in range(40):
+            f = random_terms(rng, rng.randint(1, 8), 0, 6)
+            var = rng.choice(VARS)
+            repl = random_terms(rng, rng.randint(1, 5), 1, 4)
+            assert_matches_expansion(f, Substitution.single(var, repl, rng.randint(1, 12)))
+
+    def test_all_variables_replaced(self):
+        rng = random.Random(103)
+        for _ in range(30):
+            f = random_terms(rng, rng.randint(1, 8), 0, 6)
+            repls = tuple(
+                Polynomial.variable(v) + random_terms(rng, rng.randint(1, 3), 1, 3)
+                for v in VARS
+            )
+            assert_matches_expansion(f, Substitution(repls, rng.randint(1, 10)))
+
+    def test_two_variables_replaced(self):
+        rng = random.Random(104)
+        for _ in range(30):
+            f = random_terms(rng, rng.randint(1, 8), 0, 6)
+            repls = [Polynomial.variable(v) for v in VARS]
+            for i in rng.sample(range(4), 2):
+                repls[i] = repls[i] + random_terms(rng, rng.randint(1, 3), 1, 4)
+            assert_matches_expansion(f, Substitution(tuple(repls), rng.randint(1, 12)))
+
+    def test_permutations(self):
+        rng = random.Random(105)
+        for _ in range(30):
+            f = random_terms(rng, rng.randint(1, 10), 0, 8)
+            order = rng.sample(range(4), 4)
+            repls = tuple(
+                Polynomial.variable(VARS[order[i]]).scale(random_coefficient(rng))
+                for i in range(4)
+            )
+            assert_matches_expansion(f, Substitution(repls, rng.randint(1, 10)))
+
+    def test_constant_terms_disable_pruning(self):
+        rng = random.Random(106)
+        for _ in range(40):
+            f = random_terms(rng, rng.randint(1, 6), 0, 6)
+            repls = [Polynomial.variable(v) for v in VARS]
+            for i in rng.sample(range(4), rng.randint(1, 2)):
+                repls[i] = random_terms(rng, rng.randint(1, 3), 0, 2) + Polynomial.constant(
+                    random_coefficient(rng)
+                )
+            assert_matches_expansion(f, Substitution(tuple(repls), rng.randint(1, 6)))
+
+    def test_terms_above_the_cutoff_in_the_input(self):
+        rng = random.Random(107)
+        for _ in range(30):
+            f = random_terms(rng, rng.randint(1, 8), 3, 12)
+            var = rng.choice(VARS)
+            repl = Polynomial.variable(var) + random_terms(rng, 2, 1, 3)
+            assert_matches_expansion(f, Substitution.single(var, repl, rng.randint(1, 6)))
+
+    def test_cancellation_to_zero(self):
+        # (x - a*y - b*z*t)^k * m with x <- x + a*y + b*z*t is x^k * m exactly
+        # when m is free of x.
+        rng = random.Random(108)
+        for _ in range(20):
+            a, b = random_coefficient(rng), random_coefficient(rng)
+            shear = P("y").scale(a) + P("z*t").scale(b)
+            m = P("y*t").scale(random_coefficient(rng)) + P("z^2").scale(random_coefficient(rng))
+            k = rng.randint(1, 4)
+            f = (P("x") - shear) ** k * m
+            s = Substitution.single("x", P("x") + shear, 12)
+            assert apply_substitution(f, s) == ((P("x") ** k) * m).truncate(12)
+            assert_matches_expansion(f, s)
+        # Everything cancels: x - y - z with x <- y + z.
+        s = Substitution.single("x", P("y + z"), 5)
+        assert apply_substitution(P("x - y - z"), s).is_zero()
+        assert apply_substitution(P("x^2 - y^2 - 2*y*z - z^2 + 1/3*x*t^5"), s).is_zero()
+
+    def test_zero_input(self):
+        s = Substitution.single("x", P("x + y^2"), 4)
+        assert apply_substitution(Polynomial.zero(), s).is_zero()
+
+
+class TestTruncatedProduct:
+    def test_matches_product_then_truncate(self):
+        rng = random.Random(201)
+        for _ in range(40):
+            a = random_terms(rng, rng.randint(1, 7), 0, 5)
+            b = random_terms(rng, rng.randint(1, 7), 0, 5)
+            for degree in range(-1, a.degree() + b.degree() + 2):
+                assert truncated_product(a, b, degree) == (a * b).truncate(degree)
+
+    def test_below_the_least_degree_is_zero(self):
+        a, b = P("x^2 + 1/3*y^3"), P("z^2 - 2/5*t^4")
+        for degree in range(-2, 4):
+            assert truncated_product(a, b, degree).is_zero()
+        assert truncated_product(a, b, 4) == P("x^2*z^2")
+
+    def test_cancellations_are_dropped(self):
+        a, b = P("1 + 1/2*x*y"), P("1 - 1/2*x*y")
+        assert truncated_product(a, b, 10) == P("1 - 1/4*x^2*y^2")
+        assert truncated_product(a, b, 3) == P("1")
+
+    def test_unbounded(self):
+        a, b = P("x + 2/3"), P("x - 2/3 + y^3")
+        assert truncated_product(a, b, None) == a * b
+
+    def test_release_leaves_the_other_factor(self):
+        rng = random.Random(202)
+        for _ in range(20):
+            a = random_terms(rng, 5, 1, 4)
+            b = random_terms(rng, 5, 1, 4)
+            graded_b, _den = integer_form(b)
+            before = [dict(group) for group in graded_b]
+            assert truncated_product(a, b, 6, release=True) == (a * b).truncate(6)
+            graded_a, _den = integer_form(a)
+            mul_graded(graded_a, graded_b, 6, release=True)
+            assert graded_b == before
+
+
+class TestBinomialHalfSeries:
+    def test_matches_whole_powers_then_truncate(self):
+        rng = random.Random(301)
+        for _ in range(25):
+            u = random_terms(rng, rng.randint(1, 5), 1, 4)
+            for degree in (0, 1, 2, 5, 9, 13):
+                assert _binomial_half_series(u, degree) == series_by_powers(u, degree)
+
+    def test_squares_to_the_inverse(self):
+        u = P("2/3*x*y - 5/7*z^2 + 1/9*t^3")
+        series = _binomial_half_series(u, 8)
+        assert (series * series * (P("1") + u)).truncate(8) == P("1")
 
 
 class TestCalculus:
