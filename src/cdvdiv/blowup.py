@@ -29,7 +29,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from cdvdiv.factorize import rational_factors, strip_monomial_content
+from cdvdiv.factorize import rational_factors
 from cdvdiv.newton import NewtonDiagram, face_polynomial, support_value
 from cdvdiv.poly import ExponentVector, Polynomial, total_degree
 
@@ -194,17 +194,15 @@ def decompose_components(g: Polynomial) -> Factorization:
     """Irreducible factors of g over Q, with monomial content split off."""
     if g.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    content, stripped = strip_monomial_content(g)
-    constant, factors = rational_factors(stripped)
-    components = tuple(
-        (factor, mult) for factor, mult in factors if len(factor) > 1
-    )
-    # After content removal the only monomial factor sympy can report is the
-    # trivial constant one.
-    for factor, _mult in factors:
-        if len(factor) == 1 and factor.degree() > 0:
-            raise AssertionError("monomial factor survived content stripping")
-    return Factorization(constant=constant, content=content, components=components)
+    # rational_factors reports the monomial content as the factors (x_i, c_i).
+    constant, factors = rational_factors(g)
+    content = [0, 0, 0, 0]
+    for factor, mult in factors:
+        if len(factor) == 1:
+            (exps,) = factor.support()
+            content = [c + e * mult for c, e in zip(content, exps)]
+    components = tuple((factor, mult) for factor, mult in factors if len(factor) > 1)
+    return Factorization(constant=constant, content=tuple(content), components=components)
 
 
 @dataclass(frozen=True)

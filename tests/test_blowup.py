@@ -163,6 +163,16 @@ class TestDecompose:
         assert len(result.components) == 1
         assert result.components[0] == (P("z + t"), 1)
 
+    def test_content_in_several_variables(self):
+        result = decompose_components(P("3*x^2*z*t^3 + 6*x^3*y*z^2*t^3"))
+        assert result.content == (2, 0, 1, 3)
+        assert result.constant == 3
+        assert result.components == ((P("2*x*y*z + 1"), 1),)
+        monomial = decompose_components(P("-2/3*x^2*z"))
+        assert monomial.constant == Fraction(-2, 3)
+        assert monomial.content == (2, 0, 1, 0)
+        assert monomial.components == ()
+
     def test_face_polynomial_irreducible(self):
         g = P("y^2*z + z^3 + t^3")
         result = decompose_components(g)
