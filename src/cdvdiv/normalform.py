@@ -242,7 +242,7 @@ def _binomial_half_series(u: Polynomial, degree: int) -> Polynomial:
     power: Graded = [{ZERO_EXPONENT: 1}]
     for j in range(last + 1):
         if j:
-            power = mul_graded(power, form, degree, release=True)
+            power = mul_graded(power, form, degree)
         weight = (-1) ** j * comb(2 * j, j) * base ** (last - j)
         for group in power:
             for e, c in group.items():
@@ -301,16 +301,19 @@ def _square_round(red: _Reducer, var_index: int, previous_min):
         return lowest, Polynomial.variable(name) - Polynomial(linear).scale(
             Fraction(1, 2) / c
         )
-    higher = {
-        tuple(e[i] - square[i] for i in range(4)): red.coefficient(e) / c
-        for e in offenders
-        if e[var_index] >= 2
-    }
     # v * series is truncated at the cutoff, so the series stops one degree
     # below it.
-    return lowest, Polynomial.variable(name) * _binomial_half_series(
-        Polynomial(higher), red.truncation - 1
+    series = _binomial_half_series(
+        Polynomial(
+            {
+                tuple(e[i] - square[i] for i in range(4)): red.coefficient(e) / c
+                for e in offenders
+                if e[var_index] >= 2
+            }
+        ),
+        red.truncation - 1,
     )
+    return lowest, Polynomial.variable(name) * series
 
 
 def _part(f: Polynomial, predicate) -> Polynomial:

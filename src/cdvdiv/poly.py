@@ -25,13 +25,16 @@ behind the coordinate changes used by the normal-form reduction.
 
 Substitution runs on an integer form.  Each replacement is written once as
 an integer term map over one denominator and grouped by total degree
-(`_integer_form`), the terms of the input share one common denominator, and
+(`integer_form`), the terms of the input share one common denominator, and
 the hot loops add and multiply Python ints; a `Fraction` is built only for
-each output term.  Products are truncated while they are formed
-(`_mul_graded`): when every replacement has minimal degree >= 1, a product
-term above the cutoff can only gain degree in later factors, so it is never
-formed.  Exact arithmetic makes the order of summation irrelevant, so the
-result is the one the full expansion truncates to.
+each output term (`from_integers`).  Products are truncated while they are
+formed (`mul_graded`): when every replacement has minimal degree >= 1, a
+product term above the cutoff can only gain degree in later factors, so it
+is never formed.  The powers of a replaced variable are rolled up one factor
+at a time while the input's terms are walked by that variable's exponent,
+so one power is alive at a time.  Exact arithmetic makes the order of
+summation irrelevant, so the result is the one the full expansion truncates
+to.
 """
 
 from __future__ import annotations
@@ -488,25 +491,20 @@ def from_integers(terms: Dict[ExponentVector, int], den: int) -> Polynomial:
     return result
 
 
-def mul_graded(a: Graded, b: Graded, room: Optional[int], release: bool = False) -> Graded:
+def mul_graded(a: Graded, b: Graded, room: Optional[int]) -> Graded:
     """The product a*b without its terms above degree `room` (None: all).
 
     No pair past the bound is multiplied: for a's terms of degree da only
-    b's groups up to degree room - da are visited.  With `release`, the list
-    a drops each group once it is used, so that a power rolled up by this
-    product does not hold two powers at once.
+    b's groups up to degree room - da are visited.
     """
     top = len(a) + len(b) - 2
     if room is not None:
         top = min(top, room)
     if a == [{ZERO_EXPONENT: 1}]:
-        return b[: top + 1]  # b's own groups, not a copy
+        return b[: top + 1]  # one times b: b's own groups, not a copy
     out: Graded = [{} for _ in range(top + 1)]
     for da in range(min(len(a), top + 1)):
-        group = a[da]
-        if release:
-            a[da] = {}
-        for (a0, a1, a2, a3), ca in group.items():
+        for (a0, a1, a2, a3), ca in a[da].items():
             for db in range(min(len(b), top - da + 1)):
                 target = out[da + db]
                 for (b0, b1, b2, b3), cb in b[db].items():
@@ -591,7 +589,7 @@ def apply_substitution(f: Polynomial, s: Substitution) -> Polynomial:
             continue
         while have < n:
             bound = cutoff - floors[n] if bounded else None
-            power = mul_graded(power, forms[lead][0], bound, release=True)
+            power = mul_graded(power, forms[lead][0], bound)
             have += 1
         for e in bucket:
             shift = (e[0] * fixed[0], e[1] * fixed[1], e[2] * fixed[2], e[3] * fixed[3])
@@ -602,9 +600,14 @@ def apply_substitution(f: Polynomial, s: Substitution) -> Polynomial:
                     product = mul_graded(product, other_power(i, e[i]), room if bounded else None)
             c = f._terms[e]
             scale = c.numerator * (common // denominator(e, c))
+            shifted = shift != ZERO_EXPONENT
             for d in range(min(len(product), room + 1)):
                 for ep, cp in product[d].items():
-                    key = (ep[0] + shift[0], ep[1] + shift[1], ep[2] + shift[2], ep[3] + shift[3])
-                    acc = total.get(key)
-                    total[key] = scale * cp if acc is None else acc + scale * cp
+                    if shifted:
+                        ep = (ep[0] + shift[0], ep[1] + shift[1], ep[2] + shift[2], ep[3] + shift[3])
+                    acc = total.get(ep)
+                    total[ep] = scale * cp if acc is None else acc + scale * cp
+        # Only `power` may hold this power now, so that it is freed as soon
+        # as the next one is formed.
+        del product
     return from_integers(total, common)

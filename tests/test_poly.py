@@ -190,10 +190,10 @@ def assert_matches_expansion(f, s):
     assert all(coeff != 0 for _exps, coeff in result.items())
 
 
-def truncated_product(a, b, degree, release=False):
+def truncated_product(a, b, degree):
     (graded_a, den_a), (graded_b, den_b) = integer_form(a), integer_form(b)
     terms = {}
-    for group in mul_graded(graded_a, graded_b, degree, release=release):
+    for group in mul_graded(graded_a, graded_b, degree):
         terms.update(group)
     return from_integers(terms, den_a * den_b)
 
@@ -326,18 +326,6 @@ class TestTruncatedProduct:
     def test_unbounded(self):
         a, b = P("x + 2/3"), P("x - 2/3 + y^3")
         assert truncated_product(a, b, None) == a * b
-
-    def test_release_leaves_the_other_factor(self):
-        rng = random.Random(202)
-        for _ in range(20):
-            a = random_terms(rng, 5, 1, 4)
-            b = random_terms(rng, 5, 1, 4)
-            graded_b, _den = integer_form(b)
-            before = [dict(group) for group in graded_b]
-            assert truncated_product(a, b, 6, release=True) == (a * b).truncate(6)
-            graded_a, _den = integer_form(a)
-            mul_graded(graded_a, graded_b, 6, release=True)
-            assert graded_b == before
 
 
 class TestBinomialHalfSeries:
