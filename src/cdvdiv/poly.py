@@ -91,9 +91,9 @@ class Polynomial:
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        exps = [0, 0, 0, 0]
-        exps[VAR_INDEX[name]] = 1
-        return Polynomial({tuple(exps): Fraction(1)})
+        """The variable `name`, one shared instance each: polynomials are
+        immutable, and every substitution holds its unmoved variables."""
+        return _VARIABLES[name]
 
     @staticmethod
     def monomial(exps: Iterable[int], coeff: int | Fraction = 1) -> "Polynomial":
@@ -249,6 +249,12 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({pretty(self)!r})"
+
+
+_VARIABLES: Dict[str, Polynomial] = {
+    v: Polynomial({tuple(int(i == j) for j in range(4)): Fraction(1)})
+    for i, v in enumerate(VARS)
+}
 
 
 def _monomial_text(exps: ExponentVector) -> str:
