@@ -5,8 +5,9 @@ once started from, which is the largest box its doubling checks covered.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,18 +74,106 @@ def lp_vertex_maxima(
     Each vertex is the solution of 4 tight constraints, taken from the rows
     and from u >= 0; the maximum of a linear function sits at one of them.
     """
+    best: List[Optional[Fraction]] = [None] * len(rows[0])
+    for u in _vertices(_key(rows), tuple(rhs)):
+        best = [c if m is None or c > m else m for c, m in zip(u, best)]
+    return best
+
+
+def lp_vertex_max_sum(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Fraction:
+    """max sum(u) over the bounded {u >= 0 : rows . u <= rhs}, by trying every vertex."""
+    return max(sum(u) for u in _vertices(_key(rows), tuple(rhs)))
+
+
+def _key(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(tuple(row) for row in rows)
+
+
+@lru_cache(maxsize=8)
+def _vertices(rows: Tuple[Tuple[int, ...], ...], rhs: Tuple[int, ...]) -> List[List[Fraction]]:
+    """The vertices of {u >= 0 : rows . u <= rhs}, with repeats."""
     n = len(rows[0])
+    found = []
     constraints = [(list(a), b) for a, b in zip(rows, rhs)]
     constraints += [([-int(i == j) for j in range(n)], 0) for i in range(n)]
-    best: List[Optional[Fraction]] = [None] * n
     for tight in combinations(constraints, n):
         u = _solve([a for a, _b in tight], [b for _a, b in tight])
         if u is None:
             continue
         if any(sum(x * y for x, y in zip(a, u)) > b for a, b in constraints):
             continue
-        best = [c if m is None or c > m else m for c, m in zip(u, best)]
-    return best
+        found.append(u)
+    return found
+
+
+class FractionUnbounded(Exception):
+    def __init__(self, ray: Tuple[int, ...]):
+        super().__init__(ray)
+        self.ray = ray
+
+
+def fraction_simplex(
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    objectives: Sequence[Sequence[int]],
+) -> List[Fraction]:
+    """max c . u over {u >= 0 : rows . u <= rhs} for each objective c in turn.
+
+    The exact primal simplex in Fraction with Bland's rule that computed the
+    weight box before the integer tableau, with its single-coordinate
+    objective widened to any c.  rhs >= 0, so the slack basis is feasible;
+    each objective starts from the optimal basis of the previous one.  An
+    unbounded objective raises FractionUnbounded with the primitive integer
+    ray of u along which it grows.
+    """
+    n, m = len(rows[0]), len(rows)
+    tableau = [
+        [Fraction(a) for a in row]
+        + [Fraction(int(i == k)) for k in range(m)]
+        + [Fraction(b)]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    basis = [n + i for i in range(m)]
+    maxima = []
+    for objective in objectives:
+        c = list(objective) + [0] * m
+        while True:
+            costs = [
+                c[j] - sum(c[var] * tableau[i][j] for i, var in enumerate(basis))
+                for j in range(n + m)
+            ]
+            entering = next((j for j, cost in enumerate(costs) if cost > 0), None)
+            if entering is None:
+                maxima.append(
+                    sum((c[var] * tableau[i][-1] for i, var in enumerate(basis)), Fraction(0))
+                )
+                break
+            candidates = [i for i in range(m) if tableau[i][entering] > 0]
+            if not candidates:
+                raise FractionUnbounded(_fraction_ray(tableau, basis, entering, n))
+            leaving = min(
+                candidates,
+                key=lambda i: (tableau[i][-1] / tableau[i][entering], basis[i]),
+            )
+            pivot = tableau[leaving][entering]
+            tableau[leaving] = [a / pivot for a in tableau[leaving]]
+            for i, other in enumerate(tableau):
+                factor = other[entering]
+                if i != leaving and factor:
+                    tableau[i] = [a - factor * b for a, b in zip(other, tableau[leaving])]
+            basis[leaving] = entering
+    return maxima
+
+
+def _fraction_ray(tableau, basis, entering: int, n: int) -> Tuple[int, ...]:
+    ray = [Fraction(int(j == entering)) for j in range(n)]
+    for i, var in enumerate(basis):
+        if var < n:
+            ray[var] = -tableau[i][entering]
+    scale = lcm(*(q.denominator for q in ray))
+    ints = [int(q * scale) for q in ray]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 def _solve(matrix: List[List[int]], rhs: List[int]) -> Optional[List[Fraction]]:
