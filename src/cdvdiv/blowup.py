@@ -7,8 +7,8 @@ Gorenstein hypersurface point is
     m * (w1 + w2 + w3 + w4 - 1 - min <w, supp f>),
 
 so the discrepancy-1 weights are exactly the primitive solutions of
-sum(w) = min-value + 2.  They lie in a polyhedron whose coordinate maxima an
-exact rational simplex computes; the box those maxima certify is scanned
+sum(w) = min-value + 2.  They lie in a polyhedron whose coordinate maxima the
+exact simplex of `cdvdiv.lp` computes; the box those maxima certify is scanned
 once (vectorized with int64 numpy) and every survivor is re-verified with
 rational arithmetic.  An unbounded polyhedron means infinitely many
 candidates, which an isolated cDV point never has.
@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor, gcd
 from typing import List, Tuple
 
 import numpy as np
 
 from cdvdiv.factorize import rational_factors
+from cdvdiv.lp import UnboundedWeightsError, candidate_rows, coordinate_maxima
 from cdvdiv.newton import NewtonDiagram, face_polynomial, support_value
 from cdvdiv.poly import ExponentVector, Polynomial, total_degree
 
@@ -60,21 +61,6 @@ class Weight:
         return "(" + ",".join(str(c) for c in self.w) + ")"
 
 
-class UnboundedWeightsError(ValueError):
-    """The discrepancy-1 candidate set is infinite: not an isolated cDV point.
-
-    `ray` is a nonzero r >= 0 with sum(r) <= <r, v> for every vertex v, so
-    w + k*r satisfies sum(w) - 2 <= w(f) for every candidate w and k >= 0.
-    """
-
-    def __init__(self, ray: Tuple[int, ...]):
-        super().__init__(
-            f"infinitely many weights satisfy sum(w) - 2 <= w(f): the ray {ray} "
-            "never leaves that set; the input is not an isolated cDV point"
-        )
-        self.ray = ray
-
-
 def enumerate_weights(d: NewtonDiagram) -> List[Weight]:
     """All primitive weights with discrepancy exactly 1, sorted lexicographically.
 
@@ -87,10 +73,7 @@ def enumerate_weights(d: NewtonDiagram) -> List[Weight]:
     if any(total_degree(v) < 2 for v in d.vertices):
         # sum(w) - 2 <= <w, v> fails for every w >= 1 once deg v <= 1.
         return []
-    # With u = w - 1 the constraints read sum_i (1 - v_i) u_i <= deg v - 2.
-    rows = [[1 - c for c in v] for v in d.vertices]
-    rhs = [total_degree(v) - 2 for v in d.vertices]
-    bounds = [1 + floor(m) for m in _coordinate_maxima(rows, rhs)]
+    bounds = [1 + floor(m) for m in coordinate_maxima(*candidate_rows(d.vertices))]
     vertices = np.array(d.vertices, dtype=np.int64)
     axes = [np.arange(1, b + 1, dtype=np.int64) for b in bounds]
     box = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -107,67 +90,6 @@ def enumerate_weights(d: NewtonDiagram) -> List[Weight]:
         weights.append(weight)
     weights.sort(key=lambda weight: weight.w)
     return weights
-
-
-def _coordinate_maxima(rows: List[List[int]], rhs: List[int]) -> List[Fraction]:
-    """max u_i over {u >= 0 : rows . u <= rhs} for each coordinate i.
-
-    Exact primal simplex in Fraction with Bland's rule.  Since rhs >= 0 the
-    slack basis is feasible, so no phase 1 is needed; each objective starts
-    from the optimal basis of the previous one.
-    """
-    n, m = len(rows[0]), len(rows)
-    tableau = [
-        [Fraction(a) for a in row]
-        + [Fraction(int(i == k)) for k in range(m)]
-        + [Fraction(b)]
-        for i, (row, b) in enumerate(zip(rows, rhs))
-    ]
-    basis = [n + i for i in range(m)]
-    maxima = []
-    for target in range(n):
-        while True:
-            # Reduced costs of the objective u_target under the current basis.
-            r = basis.index(target) if target in basis else None
-            costs = [
-                int(j == target) - (tableau[r][j] if r is not None else 0)
-                for j in range(n + m)
-            ]
-            entering = next((j for j, c in enumerate(costs) if c > 0), None)
-            if entering is None:
-                maxima.append(tableau[r][-1] if r is not None else Fraction(0))
-                break
-            candidates = [i for i in range(m) if tableau[i][entering] > 0]
-            if not candidates:
-                raise UnboundedWeightsError(_ray(tableau, basis, entering, n))
-            leaving = min(
-                candidates,
-                key=lambda i: (tableau[i][-1] / tableau[i][entering], basis[i]),
-            )
-            _pivot(tableau, leaving, entering)
-            basis[leaving] = entering
-    return maxima
-
-
-def _pivot(tableau: List[List[Fraction]], row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [a / pivot for a in tableau[row]]
-    for i, other in enumerate(tableau):
-        factor = other[col]
-        if i != row and factor:
-            tableau[i] = [a - factor * b for a, b in zip(other, tableau[row])]
-
-
-def _ray(tableau, basis, entering: int, n: int) -> Tuple[int, ...]:
-    """Primitive integer direction of w along which the LP is unbounded."""
-    ray = [Fraction(int(j == entering)) for j in range(n)]
-    for i, var in enumerate(basis):
-        if var < n:
-            ray[var] = -tableau[i][entering]
-    scale = lcm(*(q.denominator for q in ray))
-    ints = [int(q * scale) for q in ray]
-    g = gcd(*ints)
-    return tuple(c // g for c in ints)
 
 
 def discrepancy(d: NewtonDiagram, w: Weight, m: int = 1) -> int:

@@ -130,6 +130,8 @@ def _certificate_doc(certificate) -> Optional[Dict[str, Any]]:
         "change_count": len(certificate.applied_changes),
         "changes": [sub.describe() for sub in certificate.applied_changes],
         "truncation_degree": certificate.truncation_degree,
+        "s_max": None if certificate.s_max is None else _frac(certificate.s_max),
+        "truncation_certified": certificate.truncation_certified,
         "constraints": [
             {"name": check.name, "holds": check.holds}
             for check in certificate.satisfied_constraints
@@ -465,7 +467,12 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["classify", "diagram", "weights", "analyze", "lemmas", "corpus"],
     )
     parser.add_argument("--input", dest="input_path", help="polynomial file (UTF-8)")
-    parser.add_argument("--truncation", type=int, help="total-degree truncation")
+    parser.add_argument(
+        "--truncation",
+        type=int,
+        help="reduce at this total degree only (default: the smallest degree "
+        "whose S_max certificate holds, at most 2*deg+4)",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument(
         "--format",

@@ -30,6 +30,20 @@ rank of the quadratic form, the factorization pattern of the ternary cubic
 (reduced / double line / triple line), and the first nonzero of the
 classical sequence (quartic pure part, cubic y-linear part, quintic pure
 part) for the three cE flavours.
+
+Every change is truncated at a total degree D.  Without an explicit degree
+the reduction runs at the smallest D it certifies.  Write the untruncated
+reduction as g = g_D + h with deg h > D, and let S_max be max sum(w) over
+the candidate weights {w >= 1 : sum(w) - 2 <= w(g_D)} (`cdvdiv.lp`).  If
+S_max <= D + 2 (and every change has minimal degree >= 1, so that
+truncating each step truncates the composition), then:
+  - w(h) >= D + 1 for every w >= 1;
+  - w(g) <= w(g_D), so the candidates of g lie among those of g_D;
+  - there sum(w) - 2 <= D < w(h), so w(g) = w(g_D), on the same face.
+So g_D has the discrepancy-1 weights and faces of g.  The search starts at
+ceil(S_max) - 2 of the input's own support and raises D until the
+certificate holds; the old 2*deg + 4 (`default_truncation`) is only its
+ceiling.
 """
 
 from __future__ import annotations
@@ -37,10 +51,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from cdvdiv.factorize import rational_factors
+from cdvdiv.lp import max_weight_sum
 from cdvdiv.poly import (
     ExponentVector,
     Graded,
@@ -75,7 +90,11 @@ class ReductionError(Exception):
     `germ_type` is the cDV type that `reduce_to_normal_form` found before it
     stopped ("other" when the type analysis itself failed), so callers need
     not classify the germ again; it is None where no type was determined.
+    `in_elimination` is True when the elimination that runs once the type
+    is known raised it: its moves depend on the truncation degree.
     """
+
+    in_elimination = False
 
     def __init__(self, message: str, germ_type: Optional[SingularityType] = None):
         super().__init__(message)
@@ -109,16 +128,35 @@ class ConstraintCheck:
 
 @dataclass(frozen=True)
 class NormalFormCertificate:
+    """`s_max` is max sum(w) over the candidate polyhedron of `reduced`
+    (None when it is unbounded); `truncation_certified` says that
+    s_max <= truncation_degree + 2 and every change has minimal degree >= 1,
+    so the discrepancy-1 weights and faces of `reduced` are those of the
+    untruncated reduction."""
+
     type: SingularityType
     reduced: Polynomial
     applied_changes: Tuple[Substitution, ...]
     satisfied_constraints: Tuple[ConstraintCheck, ...]
     truncation_degree: int
     notes: Tuple[str, ...] = ()
+    s_max: Optional[Fraction] = None
+    truncation_certified: bool = False
 
 
 def default_truncation(f: Polynomial) -> int:
-    """Default truncation: twice the top degree plus a safety margin."""
+    """The largest truncation degree tried: twice the top degree plus 4.
+
+    The reduction works at the smallest degree D its certificate accepts;
+    this heuristic is only the ceiling of that search, and the degree at
+    which an uncertified result or a refusal comes back.  The certificate:
+    let g = g_D + h be the untruncated reduction, so deg h > D, and let
+    S_max = max sum(w) over the candidates {w >= 1 : sum(w) - 2 <= w(g_D)}.
+      - w(h) >= D + 1 for every w >= 1, since every term of h has degree > D;
+      - w(g) <= w(g_D), so the candidates of g lie among those of g_D;
+      - there sum(w) - 2 <= S_max - 2 <= D < w(h), so w(g) = w(g_D) on the
+        same face: g and g_D have the same discrepancy-1 weights and faces.
+    """
     return 2 * max(2, f.degree()) + 4
 
 
@@ -146,6 +184,9 @@ class _Reducer:
         # budget scales with the truncation.
         self.budget = 10 * max(4, len(f)) + 20 * truncation
         self.notes: List[str] = []
+        # Set when the verdict rests on everything above the truncation
+        # being absent: the residual of a rank >= 2 quadratic part vanished.
+        self.residual_cut = False
 
     def apply(self, sub: Substitution) -> None:
         if self.budget <= 0:
@@ -500,16 +541,15 @@ def _kill_with_struct(red: _Reducer, struct: ExponentVector, var_index: int, mem
             f"cannot eliminate {members[0]}: structural monomial {struct} is missing"
         )
     k = struct[var_index]
-    shift = {}
+    # v - shift as one term map: v itself is never a shift, since m != struct.
+    repl = {tuple(int(i == var_index) for i in range(4)): Fraction(1)}
     for member in members:
         delta = [member[i] - struct[i] for i in range(4)]
         delta[var_index] += 1
         if any(d < 0 for d in delta):
             raise ReductionError(f"{member} is not divisible by {struct} / v")
-        shift[tuple(delta)] = red.coefficient(member) / (k * c)
-    name = VARS[var_index]
-    repl = Polynomial.variable(name) - Polynomial(shift)
-    red.single(name, repl)
+        repl[tuple(delta)] = -red.coefficient(member) / (k * c)
+    red.single(VARS[var_index], Polynomial(repl))
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +791,8 @@ def _try_cd4_permutations(red: _Reducer) -> _Verdict:
     )
 
 
-def _finish_ce(red: _Reducer) -> _Verdict:
+def _ce_flavour(red: _Reducer) -> Tuple[str, ExponentVector]:
+    """(cE kind, its structural monomial), read off the classical sequence."""
     # Sweep y^2-divisible monomials first; the route decision below is
     # invariant under these kills.
     _run_elimination(red, (_Y3_ROW,))
@@ -770,6 +811,10 @@ def _finish_ce(red: _Reducer) -> _Verdict:
             "neither quartic (z,t) part, cubic y-linear part, nor quintic "
             "(z,t) part is present: beyond the cE_8 range"
         )
+    return kind, struct
+
+
+def _finish_ce(red: _Reducer, kind: str, struct: ExponentVector) -> _Verdict:
     if red.coefficient(struct) == 0:
         _shear_until(red, struct, preserve=(Y3, YZ3))
     _run_elimination(red, _RULES[kind])
@@ -808,6 +853,7 @@ def _analyze_germ(
         if rank == 4:
             return SingularityType("cA", 1), [], red
         if residual.is_zero():
+            red.residual_cut = True
             red.notes.append(
                 "no residual terms after splitting the quadratic part: "
                 "non-isolated within the truncation"
@@ -818,11 +864,95 @@ def _analyze_germ(
     # rank 1: the compound D/E zone.
     _eliminate_square_variable(red, 0)
     branch = _route_cubic(red)
-    if branch == "cE":
-        return (*_finish_ce(red), red)
-    if branch == "cDn":
-        return (*_finish_cd(red), red)
-    return (*_try_cd4_permutations(red), red)
+    flavour = _ce_flavour(red) if branch == "cE" else None
+    try:
+        if flavour is not None:
+            return (*_finish_ce(red, *flavour), red)
+        if branch == "cDn":
+            return (*_finish_cd(red), red)
+        return (*_try_cd4_permutations(red), red)
+    except ReductionError as err:
+        err.in_elimination = True
+        raise
+
+
+_NORMAL_FORM_KINDS = ("cD", "cE6", "cE7", "cE8")
+# The type analysis reads the jets up to this degree: the quadratic and
+# cubic parts, then the quartic, y-linear cubic and quintic parts.
+_TYPE_JET_DEGREE = 5
+
+
+def _certify(red: _Reducer) -> Tuple[Optional[Fraction], bool]:
+    """(S_max of the reduced form, whether it certifies red.truncation)."""
+    s_max = max_weight_sum(red.current.support())
+    certified = (
+        s_max is not None
+        and s_max <= red.truncation + 2
+        and all(r.min_degree() >= 1 for sub in red.changes for r in sub.replacements)
+    )
+    return s_max, certified
+
+
+def _start_degree(f: Polynomial, ceiling: int) -> int:
+    """ceil(S_max) - 2 over the input's own support (deg f when that is
+    unbounded, the ceiling when it is empty: a smooth point), raised to the
+    input's lowest pure power of each variable.
+
+    A pure power is a vertex of the Newton polyhedron; keeping it keeps the
+    diagram of a normal-form input whole, although no discrepancy-1 weight
+    sees it (x^2 + y^3 + z^4 + t^14 certifies at D = 12).
+    """
+    if f.min_degree() < 2:
+        return ceiling
+    s_max = max_weight_sum(f.support())
+    start = f.degree() if s_max is None else ceil(s_max) - 2
+    pure = {}
+    for e in f.support():
+        if sum(1 for c in e if c) == 1:
+            pure.setdefault(next(i for i, c in enumerate(e) if c), total_degree(e))
+    return min(ceiling, max(start, *pure.values()) if pure else start)
+
+
+def _reduce(f: Polynomial, truncation: Optional[int]):
+    """(type, shape checks, reducer, S_max, certified) at `truncation`, or at
+    the smallest certified degree when it is None.
+
+    The search starts at `_start_degree`, reduces, and raises D to
+    max(D + 1, ceil(S_max) - 2), or doubles it when the candidate polyhedron
+    of the reduced form is unbounded, until the certificate holds or D
+    reaches `default_truncation`.  An elimination failure below that ceiling
+    retries once at the ceiling, so every refusal is the one the ceiling
+    gives.  Types other than cD/cE come back at once, and so do failures of
+    the type analysis, unless they read terms the truncation removed: a
+    degree below the type jets, or a vanished cA residual.
+    """
+    ceiling = default_truncation(f)
+    degree = truncation or _start_degree(f, ceiling)
+    while True:
+        retry = not truncation and degree < ceiling
+        try:
+            germ_type, checks, red = _analyze_germ(f, degree)
+        except ReductionError as err:
+            if retry and (err.in_elimination or degree < _TYPE_JET_DEGREE):
+                degree = ceiling
+                continue
+            raise
+        if germ_type.kind not in _NORMAL_FORM_KINDS:
+            if retry and red.residual_cut:
+                degree = ceiling
+                continue
+            return germ_type, checks, red, None, False
+        s_max, certified = _certify(red)
+        if not certified and (truncation or degree == ceiling):
+            bound = "unbounded" if s_max is None else f"S_max = {s_max}"
+            red.notes.append(
+                f"truncation degree {degree} is not certified ({bound}): "
+                "discrepancy-1 weights and faces may differ from the germ's"
+            )
+        if certified or truncation or degree == ceiling:
+            return germ_type, checks, red, s_max, certified
+        raised = 2 * degree if s_max is None else max(degree + 1, ceil(s_max) - 2)
+        degree = min(ceiling, raised)
 
 
 def classify_type(f: Polynomial, truncation_degree: Optional[int] = None) -> SingularityType:
@@ -832,13 +962,12 @@ def classify_type(f: Polynomial, truncation_degree: Optional[int] = None) -> Sin
     quadratic rank >= 2 short-circuits to cA.  Returns "smooth" for a
     nonsingular point and "other" when no shape matches within the
     truncation budget.  Raises ValueError when f does not vanish at 0.
+    Without `truncation_degree` it reduces as `reduce_to_normal_form` does.
     """
-    truncation = truncation_degree or default_truncation(f)
     try:
-        germ_type, _checks, _red = _analyze_germ(f, truncation)
+        return _reduce(f, truncation_degree)[0]
     except ReductionError:
         return SingularityType("other")
-    return germ_type
 
 
 def reduce_to_normal_form(
@@ -851,10 +980,11 @@ def reduce_to_normal_form(
     ReductionError for inputs outside the cD/cE range (cA inputs only need
     classification) or when the reduction cannot be completed within the
     iteration budget and truncation; its `germ_type` is the type found.
+    With `truncation_degree` it reduces at that degree only; without, at
+    the smallest certified degree up to `default_truncation` (see there).
     """
-    truncation = truncation_degree or default_truncation(f)
     try:
-        germ_type, checks, red = _analyze_germ(f, truncation)
+        germ_type, checks, red, s_max, certified = _reduce(f, truncation_degree)
     except ReductionError as err:
         err.germ_type = SingularityType("other")
         raise
@@ -876,6 +1006,8 @@ def reduce_to_normal_form(
         reduced=red.current,
         applied_changes=tuple(red.changes),
         satisfied_constraints=tuple(checks),
-        truncation_degree=truncation,
+        truncation_degree=red.truncation,
         notes=tuple(red.notes),
+        s_max=s_max,
+        truncation_certified=certified,
     )

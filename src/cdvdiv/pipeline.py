@@ -129,16 +129,21 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
     """
     if f.is_zero():
         raise ValueError("input polynomial is zero")
-    truncation = options.truncation or default_truncation(f)
     warnings: List[str] = []
     certificate: Optional[NormalFormCertificate] = None
     try:
-        certificate = reduce_to_normal_form(f, truncation)
+        certificate = reduce_to_normal_form(f, options.truncation)
         classification = certificate.type
         g = certificate.reduced
+        if not certificate.truncation_certified:
+            warnings.append(
+                f"truncation degree {certificate.truncation_degree} is not "
+                "certified: the weights and faces of the truncated normal form "
+                "may differ from the germ's"
+            )
     except ReductionError as err:
         classification = err.germ_type
-        g = f.truncate(truncation)
+        g = f.truncate(options.truncation or default_truncation(f))
         if classification.kind in ("cD", "cE6", "cE7", "cE8"):
             warnings.append(f"normal-form reduction unavailable: {err}")
         elif classification.kind == "other":

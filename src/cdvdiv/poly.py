@@ -50,6 +50,8 @@ VAR_INDEX: Dict[str, int] = {v: i for i, v in enumerate(VARS)}
 ExponentVector = Tuple[int, int, int, int]
 
 ZERO_EXPONENT: ExponentVector = (0, 0, 0, 0)
+# The coefficient of every absent monomial: Fractions are immutable.
+_ZERO = Fraction(0)
 
 
 def total_degree(e: ExponentVector) -> int:
@@ -114,7 +116,7 @@ class Polynomial:
         return tuple(sorted(self._terms, key=grlex_key))
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return self._terms.get(tuple(exps), _ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -6,12 +6,12 @@ import pytest
 from cdvdiv.blowup import (
     UnboundedWeightsError,
     Weight,
-    _coordinate_maxima,
     decompose_components,
     discrepancy,
     enumerate_weights,
     exceptional_surface,
 )
+from cdvdiv.lp import coordinate_maxima as _coordinate_maxima
 from cdvdiv.newton import build_diagram
 from cdvdiv.poly import Polynomial, parse_polynomial
 from weight_oracle import (

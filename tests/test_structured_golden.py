@@ -9,13 +9,17 @@ witnesses over GF(257)), a 3-variable face decided by sampling, and a
 worked example.
 
 A second fixture stores the normal-form certificate (type, reduced
-polynomial, every change's `describe()`, constraints, notes and truncation
-degree) of each germ of the benchmark's seed-0 `reduction` workload that
-reduces within 10 s, and the error text of those that are refused.  A
-change that alters any of these must regenerate both fixtures and explain
-the difference:
+polynomial, every change's `describe()`, constraints, notes, truncation
+degree, S_max and whether it certifies the degree) of each germ of the
+benchmark's seed-0 `reduction` workload that reduces within 10 s, and the
+error text of those that are refused, plus one pinned germ that every
+truncation degree refuses.  A change that alters any of these must
+regenerate both fixtures and explain the difference:
 
     PYTHONPATH=src python tests/test_structured_golden.py
+
+With `--diff` it prints, per germ, the JSON paths at which the current
+output differs from the stored fixtures, and writes nothing.
 """
 
 import io
@@ -35,6 +39,9 @@ REDUCTION_FIXTURE = Path(__file__).with_name("reduction_golden.json")
 # Germs of the fixture's source workload that take longer than this are
 # left out of it.
 REDUCTION_LIMIT_S = 10
+# Refused at every truncation degree from 9 to 21 and at the ceiling 22:
+# the cE7 y*z^3 and z^k rows revive each other's offenders.
+REFUSED_GERMS = [("cE7 elimination cycle", "x^2 + y^3 + y*z^3 + z^5 + z^6*t + t^9")]
 
 ANALYZE_GERMS = [
     # worked examples
@@ -119,6 +126,8 @@ def reduction_record(label: str, text: str):
         constraints=[[check.name, check.holds] for check in cert.satisfied_constraints],
         notes=list(cert.notes),
         truncation_degree=cert.truncation_degree,
+        s_max=None if cert.s_max is None else str(cert.s_max),
+        truncation_certified=cert.truncation_certified,
     )
     return record
 
@@ -164,7 +173,7 @@ def _timed_reduction_records():
                 signal.alarm(0)
     finally:
         signal.signal(signal.SIGALRM, previous)
-    return records
+    return records + [reduction_record(label, text) for label, text in REFUSED_GERMS]
 
 
 def test_failed_reduction_warns():
@@ -173,13 +182,59 @@ def test_failed_reduction_warns():
     assert doc["warnings"]
 
 
+def _differing_paths(old, new, path=""):
+    """JSON paths at which two decoded documents differ; a `stdout` string
+    that holds a JSON document is compared inside."""
+    if isinstance(old, str) and isinstance(new, str) and path.endswith("stdout"):
+        try:
+            old, new = json.loads(old), json.loads(new)
+        except ValueError:
+            pass
+    if isinstance(old, dict) and isinstance(new, dict):
+        paths = []
+        for key in list(old) + [k for k in new if k not in old]:
+            sub = f"{path}.{key}" if path else key
+            if key not in new:
+                paths.append(f"{sub} (removed)")
+            elif key not in old:
+                paths.append(f"{sub} (added)")
+            else:
+                paths += _differing_paths(old[key], new[key], sub)
+        return paths
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [p for i, (a, b) in enumerate(zip(old, new)) for p in _differing_paths(a, b, f"{path}[{i}]")]
+    return [] if old == new else [path]
+
+
+def _print_diff(name, stored, current):
+    def key(entry):
+        return entry.get("command") or entry["label"], entry["input"]
+
+    old_entries = {key(entry): entry for entry in stored}
+    new_keys = {key(entry) for entry in current}
+    for entry in current:
+        label = " ".join(key(entry))
+        if key(entry) not in old_entries:
+            print(f"{name} {label}: entry added")
+            continue
+        paths = _differing_paths(old_entries[key(entry)], entry)
+        if paths:
+            print(f"{name} {label}: {', '.join(paths)}")
+    for entry in stored:
+        if key(entry) not in new_keys:
+            print(f"{name} {' '.join(key(entry))}: entry removed")
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         entries = [structured_report(command, text, Path(tmp)) for command, text in CASES]
+    reductions = _timed_reduction_records()
+    if "--diff" in sys.argv[1:]:
+        _print_diff("structured", _expected(), entries)
+        _print_diff("reduction", _reduction_expected(), reductions)
+        sys.exit(0)
     FIXTURE.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
-    REDUCTION_FIXTURE.write_text(
-        json.dumps(_timed_reduction_records(), indent=1) + "\n", encoding="utf-8"
-    )
+    REDUCTION_FIXTURE.write_text(json.dumps(reductions, indent=1) + "\n", encoding="utf-8")
     sys.exit(0)
