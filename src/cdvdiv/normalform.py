@@ -923,8 +923,9 @@ def _reduce(f: Polynomial, truncation: Optional[int]):
     reaches `default_truncation`.  An elimination failure below that ceiling
     retries once at the ceiling, so every refusal is the one the ceiling
     gives.  Types other than cD/cE come back at once, and so do failures of
-    the type analysis, unless they read terms the truncation removed: a
-    degree below the type jets, or a vanished cA residual.
+    the type analysis, unless they read terms the truncation removed: below
+    the degree of the type jets it moves up to that degree, and a vanished
+    cA residual moves to the ceiling.
     """
     ceiling = default_truncation(f)
     degree = truncation or _start_degree(f, ceiling)
@@ -933,10 +934,13 @@ def _reduce(f: Polynomial, truncation: Optional[int]):
         try:
             germ_type, checks, red = _analyze_germ(f, degree)
         except ReductionError as err:
-            if retry and (err.in_elimination or degree < _TYPE_JET_DEGREE):
+            if retry and err.in_elimination:
                 degree = ceiling
-                continue
-            raise
+            elif retry and degree < _TYPE_JET_DEGREE:
+                degree = _TYPE_JET_DEGREE
+            else:
+                raise
+            continue
         if germ_type.kind not in _NORMAL_FORM_KINDS:
             if retry and red.residual_cut:
                 degree = ceiling

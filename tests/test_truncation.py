@@ -196,10 +196,23 @@ def test_cA_residual_above_the_start_degree(text, label):
     assert normalform.classify_type(parse_polynomial(text)).label() == label
 
 
-def test_type_jets_below_the_start_degree_retry_at_the_ceiling():
+def test_type_jets_below_the_start_degree_move_up_to_them():
     # (x + y + z + t)^2 puts every variable in a square, so S_max = 4 and the
     # search starts at degree 2, where the cubic part is cut.
     f = parse_polynomial("x + y + z + t") ** 2 + parse_polynomial("y^2*z + z^3 + t^3")
     cert = reduce_to_normal_form(f)
     assert cert.type.label() == "cD_4"
-    assert cert.truncation_degree == default_truncation(f) and cert.truncation_certified
+    assert (cert.truncation_degree, cert.s_max, cert.truncation_certified) == (5, 6, True)
+    # A smooth cubic: the cD_4 elimination refuses it, with the ceiling's text.
+    g = parse_polynomial("x + y + z + t") ** 2 + parse_polynomial("y^3 + z^3 + t^3")
+    with pytest.raises(ReductionError) as info:
+        reduce_to_normal_form(g)
+    assert str(info.value) == str(_refusal(g, default_truncation(g)))
+
+
+def _refusal(f, truncation):
+    try:
+        reduce_to_normal_form(f, truncation)
+    except ReductionError as err:
+        return err
+    raise AssertionError("not refused")
