@@ -55,7 +55,7 @@ from math import ceil, comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from cdvdiv.factorize import rational_factors
-from cdvdiv.lp import max_weight_sum
+from cdvdiv.lp import max_weight_sum, minimal_points
 from cdvdiv.poly import (
     ExponentVector,
     Graded,
@@ -906,11 +906,9 @@ def _start_degree(f: Polynomial, ceiling: int) -> int:
         return ceiling
     s_max = max_weight_sum(f.support())
     start = f.degree() if s_max is None else ceil(s_max) - 2
-    pure = {}
-    for e in f.support():
-        if sum(1 for c in e if c) == 1:
-            pure.setdefault(next(i for i, c in enumerate(e) if c), total_degree(e))
-    return min(ceiling, max(start, *pure.values()) if pure else start)
+    # The lowest pure power of a variable is a minimal point, the others not.
+    pure = [sum(e) for e in minimal_points(f.support()) if sum(map(bool, e)) == 1]
+    return min(ceiling, max([start, *pure]))
 
 
 def _reduce(f: Polynomial, truncation: Optional[int]):
@@ -947,13 +945,13 @@ def _reduce(f: Polynomial, truncation: Optional[int]):
                 continue
             return germ_type, checks, red, None, False
         s_max, certified = _certify(red)
-        if not certified and (truncation or degree == ceiling):
-            bound = "unbounded" if s_max is None else f"S_max = {s_max}"
-            red.notes.append(
-                f"truncation degree {degree} is not certified ({bound}): "
-                "discrepancy-1 weights and faces may differ from the germ's"
-            )
-        if certified or truncation or degree == ceiling:
+        if certified or not retry:
+            if not certified:
+                bound = "unbounded" if s_max is None else f"S_max = {s_max}"
+                red.notes.append(
+                    f"truncation degree {degree} is not certified ({bound}): "
+                    "discrepancy-1 weights and faces may differ from the germ's"
+                )
             return germ_type, checks, red, s_max, certified
         raised = 2 * degree if s_max is None else max(degree + 1, ceil(s_max) - 2)
         degree = min(ceiling, raised)
