@@ -30,7 +30,8 @@ from typing import List, Tuple
 import numpy as np
 
 from cdvdiv.factorize import rational_factors
-from cdvdiv.lp import UnboundedWeightsError, candidate_rows, coordinate_maxima
+# enumerate_weights raises UnboundedWeightsError through coordinate_maxima.
+from cdvdiv.lp import UnboundedWeightsError, candidate_rows, coordinate_maxima  # noqa: F401
 from cdvdiv.newton import NewtonDiagram, face_polynomial, support_value
 from cdvdiv.poly import ExponentVector, Polynomial, total_degree
 
