@@ -19,11 +19,15 @@ containing it), so face = argmin(<witness, .>) is directly checkable.
 
 The module also hosts the non-degeneracy checker: a face polynomial is
 certified non-degenerate by a symbolic rule (monomial/binomial, or a partial
-derivative that is a single monomial), and otherwise searched for singular
-torus points over prime fields - exhaustively for at most 2 effective
-variables, as a power-table matrix product over the whole grid GF(p)*^k,
-by seeded random sampling above that.  Probabilistic verdicts are
-explicitly labelled and never silently trusted.
+derivative that is a single monomial), or else decided exactly in the
+face's own dimension d when d <= 2 - reduced to d variables, by a
+squarefree test for d = 1 (both ways) and a resultant gcd for d = 2 (which
+can only certify).  Faces of dimension 3 and the d = 2 faces the resultants
+leave open are searched for singular torus points over prime fields -
+exhaustively for at most 2 effective variables, as a power-table matrix
+product over the whole grid GF(p)*^k, by seeded random sampling above
+that.  Probabilistic verdicts are explicitly labelled and never silently
+trusted.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from cdvdiv.poly import ExponentVector, Polynomial, VARS, grlex_key
+from cdvdiv.poly import ExponentVector, Polynomial, VARS, grlex_key, pretty
 
 AXES: Tuple[ExponentVector, ...] = (
     (1, 0, 0, 0),
@@ -372,11 +376,23 @@ def singular_torus_search(
 ) -> FaceVerdict:
     """Decide non-degeneracy of a single quasihomogeneous piece.
 
-    Certification is purely symbolic (monomial or binomial, or some partial
-    derivative being a single monomial - each of those cannot vanish on the
-    torus).  Otherwise singular points with all coordinates nonzero are
-    searched over prime fields and any hit is reported as a witness; absence
-    of hits only ever yields a "probable" verdict.
+    In order:
+
+      1. symbolic rules certify a monomial or binomial, or a g with a
+         partial derivative that is a single monomial (none of these can
+         vanish on the torus);
+      2. when the support of g has affine dimension d <= 2, g is reduced to
+         h in d variables with the same singular torus points
+         (`_torus_slice`), and an exact test runs on h: gcd(h, h') for
+         d = 1, which decides both ways, and two resultants for d = 2, which
+         can only certify (`_exact_test`);
+      3. everything else - d = 3, and d = 2 faces the resultants leave open -
+         is searched for singular points with all coordinates nonzero over
+         prime fields, and any hit is reported as a witness; absence of hits
+         only ever yields a "probable" verdict.
+
+    A g that the d = 1 test proves degenerate is searched as well, for a
+    witness, and stays degenerate when the search finds none.
     """
     if g.is_zero():
         raise ValueError("cannot check the zero polynomial")
@@ -397,6 +413,21 @@ def singular_torus_search(
                 f"d/d{names[j]} is a single monomial, nonzero on the torus",
             )
 
+    exact = _exact_test(terms, names)
+    if exact is not None and exact.status == NONDEGENERATE_CERTIFIED:
+        return exact
+    verdict = _modp_search(
+        g, names, var_idx, terms, partials, seed, samples, scan_primes, sampling_primes
+    )
+    if exact is not None and verdict.status != DEGENERATE:
+        return exact
+    return verdict
+
+
+def _modp_search(
+    g, names, var_idx, terms, partials, seed, samples, scan_primes, sampling_primes
+) -> FaceVerdict:
+    """Singular torus points of g over prime fields: a witness, or "probable"."""
     k = len(var_idx)
     if k <= 2:
         for p in scan_primes:
@@ -432,6 +463,233 @@ def singular_torus_search(
         f"no singular torus point found in {samples} samples over "
         f"{len(sampling_primes)} large prime fields",
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact tests in the face's own dimension
+# ---------------------------------------------------------------------------
+#
+# Univariate polynomials are lists of ints, lowest degree first, with no
+# trailing zeros; [] is zero.  A polynomial in (u, v) is a list over the
+# v-degree of such lists in u.
+
+
+def _torus_slice(terms) -> Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]:
+    """Variables K and h in them with the same singular torus points as g.
+
+    g is given by its terms in its k present variables; its support has
+    affine dimension d, with direction space L in Q^k.  K is the first set
+    of d variables whose coordinate projection keeps rank d on the support
+    (one exists, because the support spans an affine space of dimension
+    d); h is g with every other variable set to 1, times its lcm of
+    denominators and stripped of its monomial content.
+
+    g has a singular point on (C*)^k iff h has one on (C*)^d:
+
+      * every w in the lattice W = L^perp acts on the torus by
+        x_i -> lambda^{w_i} x_i, and g(lambda.x) = lambda^{<w, p0>} g(x)
+        for any support point p0, so the action maps singular points to
+        singular points;
+      * the projection to K is injective on L, so L meets the coordinate
+        space of the other variables only in 0, and the restriction of W
+        to those k - d coordinates has full rank k - d.  The subtorus of W
+        then maps onto their torus, so every orbit meets the slice
+        {x_j = 1 for j not in K};
+      * on the slice g = h up to a unit and a monomial, so g = 0 and
+        d_i g = 0 for i in K are h = 0 and grad h = 0.  The missing
+        partials follow from the Euler relations
+        sum_i w_i x_i d_i g = <w, p0> g: at such a point
+        sum_{j not in K} w_j x_j d_j g = 0 for every w in W, and as these
+        w have full rank there, x_j d_j g = 0, so d_j g = 0.
+
+    The projection is injective on the support too, so no two terms of g
+    merge in h.
+    """
+    points = [exps for exps, _ in terms]
+    k = len(points[0])
+
+    def rank(cols):
+        return _affine_rank([tuple(p[i] for i in cols) + (0,) * (4 - len(cols)) for p in points])
+
+    d = rank(range(k))
+    K = next(cols for cols in itertools.combinations(range(k), d) if rank(cols) == d)
+    low = [min(p[i] for p in points) for i in K]
+    scale = lcm(*(c.denominator for _, c in terms))
+    h = {
+        tuple(p[i] - m for i, m in zip(K, low)): int(c * scale)
+        for p, (_, c) in zip(points, terms)
+    }
+    return K, h
+
+
+def _exact_test(terms, names) -> FaceVerdict | None:
+    """The exact verdict on g when its support has dimension 1 or 2, else None.
+
+    None also when the dimension-2 test cannot decide.  A degenerate verdict
+    here has no witness; `singular_torus_search` looks for one.
+    """
+    K, h = _torus_slice(terms)
+    kept = [names[i] for i in K]
+    others = [n for n in names if n not in kept]
+    slice_text = f"g at {', '.join(others)} = 1" if others else "g"
+    if len(K) == 1:
+        u = [0] * (max(a for a, in h) + 1)
+        for (a,), c in h.items():
+            u[a] = c
+        common = _gcd(u, _derivative(u))
+        if len(common) == 1:
+            return FaceVerdict(
+                NONDEGENERATE_CERTIFIED,
+                f"exact (dimension 1): h({kept[0]}) = {slice_text} is squarefree",
+            )
+        axis = VARS.index(kept[0])
+        factor = Polynomial(
+            {tuple(a * (i == axis) for i in range(4)): Fraction(c) for a, c in enumerate(common) if c}
+        )
+        return FaceVerdict(
+            DEGENERATE,
+            f"exact (dimension 1): h({kept[0]}) = {slice_text} has the repeated "
+            f"factor {pretty(factor)}",
+        )
+    if len(K) == 2:
+        # Resultants in the variable of lower degree keep the matrices small.
+        if max(a for a, _ in h) < max(b for _, b in h):
+            h = {(b, a): c for (a, b), c in h.items()}
+            kept.reverse()
+        u, v = kept
+        r1, r2 = _resultant_roots(h)
+        if r1 and r2 and len(_gcd(r1, r2)) == 1:
+            return FaceVerdict(
+                NONDEGENERATE_CERTIFIED,
+                f"exact (dimension 2): h({u}, {v}) = {slice_text} has "
+                f"Res_{v}(h, h_{v}) and Res_{v}(h, h_{u}) coprime in {u}",
+            )
+    return None
+
+
+def _resultant_roots(h: Dict[Tuple[int, int], int]) -> Tuple[List[int], List[int]]:
+    """R1 = Res_v(h, h_v) and R2 = Res_v(h, h_u), stripped of their powers of u.
+
+    h maps (u-exponent, v-exponent) to integers.  Both resultants are taken
+    with the formal v-degrees of the coefficient lists, so at a common root
+    (u0, v0) the Sylvester matrix at u0 has the kernel vector of powers of
+    v0, and R(u0) = 0 whatever the leading coefficients do there.  On the
+    torus u0 != 0, so powers of u carry no roots.  If R1 and R2 are nonzero
+    and coprime, h has no singular torus point.
+    """
+    rows = [[0] * (max(a for a, _ in h) + 1) for _ in range(max(b for _, b in h) + 1)]
+    for (a, b), c in h.items():
+        rows[b][a] = c
+    hh = [_trim(row) for row in rows]
+    hv = [[b * c for c in row] for b, row in enumerate(hh)][1:]
+    hu = _trim([_derivative(row) for row in hh])
+    return _strip_u(_resultant(hh, hv)), _strip_u(_resultant(hh, hu))
+
+
+def _resultant(a, b) -> List[int]:
+    """Res_v(a, b) for a, b in Z[u][v] of formal degrees len - 1, up to sign.
+
+    When b has v-degree 0 the resultant is a power of b's coefficient, and
+    that coefficient is returned instead: it has the same roots.  Otherwise
+    the Sylvester matrix's determinant is taken by fraction-free Bareiss
+    elimination over Z[u], whose divisions are exact.
+    """
+    if not b:
+        return []
+    if len(b) == 1:
+        return b[0]
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    matrix = [[[]] * i + list(reversed(a)) + [[]] * (size - m - 1 - i) for i in range(n)]
+    matrix += [[[]] * i + list(reversed(b)) + [[]] * (size - n - 1 - i) for i in range(m)]
+    prev = [1]
+    for col in range(size - 1):
+        pivot = next((r for r in range(col, size) if matrix[r][col]), None)
+        if pivot is None:
+            return []
+        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+        top = matrix[col]
+        for r in range(col + 1, size):
+            row = matrix[r]
+            for j in range(col + 1, size):
+                row[j] = _exact_div(
+                    _sub_poly(_mul_poly(row[j], top[col]), _mul_poly(row[col], top[j])), prev
+                )
+        prev = top[col]
+    return matrix[size - 1][size - 1]
+
+
+def _trim(p: List) -> List:
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _strip_u(p: List[int]) -> List[int]:
+    i = 0
+    while i < len(p) and not p[i]:
+        i += 1
+    return p[i:]
+
+
+def _derivative(p: List[int]) -> List[int]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _mul_poly(a: List[int], b: List[int]) -> List[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _sub_poly(a: List[int], b: List[int]) -> List[int]:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return _trim([x - (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+
+def _exact_div(a: List[int], b: List[int]) -> List[int]:
+    """a / b in Z[u] when b divides a exactly."""
+    if len(b) == 1:
+        return [x // b[0] for x in a]
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = a[shift + len(b) - 1] // b[-1]
+        q[shift] = c
+        if c:
+            for j, y in enumerate(b):
+                a[shift + j] -= c * y
+    return q
+
+
+def _gcd(a: List[int], b: List[int]) -> List[int]:
+    """The primitive gcd in Q[u] with positive leading coefficient."""
+    while b:
+        a, b = b, _content_free(_pseudo_remainder(a, b))
+    a = _content_free(a)
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def _pseudo_remainder(a: List[int], b: List[int]) -> List[int]:
+    """A nonzero integer multiple of a mod b."""
+    lead = b[-1]
+    while len(a) >= len(b):
+        c, shift = a[-1], len(a) - len(b)
+        a = [x * lead for x in a]
+        for j, y in enumerate(b):
+            a[shift + j] -= c * y
+        a = _trim(a)
+    return a
+
+
+def _content_free(p: List[int]) -> List[int]:
+    return list(_primitive(p))
 
 
 def _power_table(top: int, p: int) -> np.ndarray:

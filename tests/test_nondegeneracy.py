@@ -12,9 +12,13 @@ first variables do not span the face's directions, and every face of the
 seed-0 corpus diagrams that no monomial or binomial rule certifies.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 import sympy
@@ -175,7 +179,11 @@ CASES = seeded_faces() + planted_faces() + OFFSET_FACES + corpus_faces()
 
 
 def check_agrees(g: Polynomial) -> None:
-    """A definite verdict never contradicts the oracle."""
+    """A definite verdict never contradicts the oracle, and d <= 2 decides.
+
+    The dimension-1 test decides both ways; the dimension-2 test certifies
+    every non-singular face here and leaves the singular ones to the search.
+    """
     verdict = singular_torus_search(g, seed=0)
     singular = torus_singular(g)
     if verdict.status == NONDEGENERATE_CERTIFIED:
@@ -183,6 +191,11 @@ def check_agrees(g: Polynomial) -> None:
     if verdict.status == DEGENERATE and verdict.witness is not None:
         if verdict.witness.exact_over_rationals:
             assert singular, verdict.detail
+    d = dimension(g)
+    if d == 1 and needs_search(g):
+        assert verdict.status == (DEGENERATE if singular else NONDEGENERATE_CERTIFIED)
+    if d == 2 and not singular:
+        assert verdict.status == NONDEGENERATE_CERTIFIED, verdict.detail
 
 
 @pytest.mark.parametrize("label,g", CASES, ids=[label for label, _ in CASES])
@@ -203,3 +216,62 @@ def test_case_set_covers_the_claimed_shapes():
     corpus = corpus_faces()
     assert len(corpus) == 57
     assert sum(dimension(g) == 2 for _, g in corpus) == 15
+
+
+def test_repeated_factor_without_a_witness_stays_degenerate():
+    # (z^2 - 2t^2)^2 (z + 7t): 2 is not a square mod 251, so GF(251) has no
+    # singular torus point, and the exact test still names the square.
+    g = (P("z^2 - 2*t^2") ** 2) * P("z + 7*t")
+    verdict = singular_torus_search(g, seed=0, scan_primes=(251,))
+    assert verdict.status == DEGENERATE
+    assert verdict.witness is None
+    assert "repeated factor z^2 - 2" in verdict.detail
+    found = singular_torus_search(g, seed=0, scan_primes=(241,))
+    assert found.status == DEGENERATE and found.witness is not None
+
+
+def test_powers_of_u_are_stripped_from_the_resultants():
+    # Res_t(h, h_t) = -4z^6 + 8z^3 - 8z^2 and Res_t(h, h_z) share z^2 only,
+    # which is no torus point.
+    g = P("2*z^3*t + 2*z^3 - 2*z^2 + t^2")
+    assert not torus_singular(g)
+    verdict = singular_torus_search(g, seed=0)
+    assert verdict.status == NONDEGENERATE_CERTIFIED
+    assert verdict.detail.startswith("exact (dimension 2)")
+
+
+def test_slice_keeps_variables_that_span_the_face():
+    verdict = singular_torus_search(P("z*t^2 + z*t + z"), seed=0)
+    assert verdict.detail == "exact (dimension 1): h(t) = g at z = 1 is squarefree"
+    verdict = singular_torus_search(P("x^2*y*z^3 + x^2*y*t^2 + x^2*y*z*t + 2*x^2*y"), seed=0)
+    assert verdict.detail.startswith("exact (dimension 2): h(z, t) = g at x, y = 1")
+
+
+def test_diagram_loads_no_further_module(tmp_path):
+    # cD_4 offset 0 draw 0 (seed 0): its face in y, z, t needs the
+    # dimension-2 certificate.
+    path = tmp_path / "f.txt"
+    path.write_text("y^2*z + 5/4*y*t^2 + z^3 + 9/4*z*t^2 + 7/4*t^3 + x^2\n", encoding="utf-8")
+    code = (
+        "import io, sys, contextlib\n"
+        "from cdvdiv.cli import main\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    main(['diagram', '--input', {str(path)!r}, '--format', 'structured'])\n"
+        "print(out.getvalue().count('exact (dimension 2)'))\n"
+        "print('sympy' in sys.modules)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    certified, sympy_loaded, new = out.stdout.strip().splitlines()
+    assert int(certified) >= 1
+    assert sympy_loaded == "False"
+    new_modules = eval(new)
+    assert all(name.split(".")[0] in sys.stdlib_module_names for name in new_modules), new_modules
