@@ -3,10 +3,10 @@
 The `analyze` germs cover the paper's worked examples, one germ per row of
 the normal-form elimination table, ten perturbed normal forms (the
 criterion-8 family, seed 0) and one germ whose reduction fails, so the
-warnings path is covered too.  The `diagram` germs cover faces decided by
-the exhaustive torus scan (two corpus germs, seed 0, with degenerate
-witnesses over GF(257)), a 3-variable face decided by sampling, and a
-worked example.
+warnings path is covered too.  The `diagram` germs cover edges and 2-faces
+decided exactly in their own dimension (two corpus germs, seed 0, whose
+edges a GF(257) scan once called degenerate, and a germ with a 2-face in
+y, z, t), and a worked example.
 
 A second fixture stores the normal-form certificate (type, reduced
 polynomial, every change's `describe()`, constraints, notes, truncation
@@ -72,10 +72,11 @@ ANALYZE_GERMS = [
 ]
 
 DIAGRAM_GERMS = [
-    # corpus cD_8 and cD_9, offset 0, draw 0 (seed 0)
+    # corpus cD_8 and cD_9, offset 0, draw 0 (seed 0): squarefree edges
+    # with singular points over GF(257)
     "z^7 + 4*z^5*t^2 - 1/4*t^7 - 5/2*y*t^4 + y^2*z + x^2",
     "z^8 + 7*z^6*t^2 + 5/4*t^8 + 3/2*y*t^5 + y^2*z + x^2",
-    # corpus cD_4 offset 0 draw 0: a face in y, z, t goes to the sampler
+    # corpus cD_4 offset 0 draw 0: a 2-face in y, z, t
     "y^2*z + 5/4*y*t^2 + z^3 + 9/4*z*t^2 + 7/4*t^3 + x^2",
     # worked example
     "x^2 + y^2*z + z^5 + t^5",
