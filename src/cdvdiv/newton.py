@@ -41,6 +41,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
+from cdvdiv.lp import minimal_points
 from cdvdiv.poly import ExponentVector, Polynomial, VARS, grlex_key, pretty
 
 AXES: Tuple[ExponentVector, ...] = (
@@ -195,7 +196,8 @@ def _facets(support: Sequence[ExponentVector]):
                 key = _primitive(w)
                 if key in facets:
                     continue
-                tight_pts = frozenset(p for p, v in zip(pts, vals) if v == min(vals))
+                # c is the least value now, whichever branch oriented w
+                tight_pts = frozenset(p for p, v in zip(pts, vals) if v == c)
                 tight_rays = frozenset(i for i in range(4) if key[i] == 0)
                 if _affine_rank(sorted(tight_pts), [AXES[i] for i in tight_rays]) == 3:
                     facets[key] = (tight_pts, tight_rays)
@@ -205,13 +207,17 @@ def _facets(support: Sequence[ExponentVector]):
 def build_diagram(f: Polynomial) -> NewtonDiagram:
     """Vertices and compact faces of the Newton polyhedron of f.
 
-    Raises ValueError on the zero polynomial.  Intended for the sparse
-    supports of singularity normal forms (up to a few hundred points).
+    Raises ValueError on the zero polynomial.  The facets are enumerated
+    over the minimal points of the support only: a point p that dominates
+    another point q (p >= q coordinatewise) lies in q + R^4_{>=0}, so
+    dropping it leaves the polyhedron unchanged, and it lies on no compact
+    face, because w.p > w.q for every strictly positive w.  The witness
+    check still runs over the whole support.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton diagram")
     support = f.support()
-    facets = _facets(support)
+    facets = _facets(minimal_points(support))
 
     # Close the facet list under intersection; every proper face shows up.
     faces: Dict[Tuple[FrozenSet[ExponentVector], FrozenSet[int]], None] = {}

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from cdvdiv import newton
+from cdvdiv.lp import minimal_points
 from cdvdiv.newton import (
     DEGENERATE,
     NONDEGENERATE_CERTIFIED,
@@ -88,6 +90,39 @@ class TestBuildDiagram:
         top = [f for f in d.faces if f.dimension == 3]
         assert len(top) == 1
         assert set(top[0].lattice_points) == set(EXAMPLE_CE8.support())
+
+
+class TestMinimalPointFilter:
+    """`build_diagram` over the minimal points against the unfiltered `_facets`."""
+
+    @staticmethod
+    def dominated_support(rng):
+        minimal = random_support_polynomial(rng, max_points=7, max_exp=5)
+        terms = dict(minimal.items())
+        for exps in list(terms):
+            for _ in range(rng.randint(0, 3)):
+                bump = tuple(e + rng.randint(0, 2) for e in exps)
+                terms.setdefault(bump, Fraction(rng.randint(1, 5)))
+        return Polynomial(terms)
+
+    def test_same_diagram_as_the_whole_support(self, monkeypatch):
+        rng = random.Random(41)
+        cases = [self.dominated_support(rng) for _ in range(40)]
+        filtered = [build_diagram(f) for f in cases]
+        monkeypatch.setattr(newton, "minimal_points", list)
+        dominated = 0
+        for f, d in zip(cases, filtered):
+            whole = build_diagram(f)
+            assert d.vertices == whole.vertices
+            assert d.faces == whole.faces  # points, dimension and witness
+            dominated += len(f) > len(minimal_points(f.support()))
+        assert dominated >= 30
+
+    def test_dominated_points_stay_off_the_faces(self):
+        f = parse_polynomial("x^2 + y^3 + z^4 + t^5 + x^3*y + x^2*y^3*z*t")
+        d = build_diagram(f)
+        assert set(d.vertices) == {(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 4, 0), (0, 0, 0, 5)}
+        assert all((3, 1, 0, 0) not in face.lattice_points for face in d.faces)
 
 
 class TestAffineRank:
