@@ -316,6 +316,12 @@ def _cmd_corpus(config: RunConfig) -> Dict[str, Any]:
         "genus_failures": result.genus_failures,
         "classification_failures": result.classification_failures,
         "ok": result.ok,
+        "probable_verdicts": result.probable_verdicts,
+        "undecided_components": result.undecided_components,
+        "degenerate_verdicts": {
+            "exact_witness": result.degenerate_exact_witness,
+            "no_exact_witness": result.degenerate_no_exact_witness,
+        },
     }
 
 
@@ -406,6 +412,13 @@ def _render_text(command: str, doc: Dict[str, Any], out) -> None:
             f"max non-rational per instance: {doc['max_non_rational_per_instance']}\n"
         )
         out.write(f"uniqueness violations: {doc['uniqueness_violations']}\n")
+        degenerate = doc["degenerate_verdicts"]
+        out.write(
+            f"probable verdicts: {doc['probable_verdicts']}, undecided components: "
+            f"{doc['undecided_components']}, degenerate verdicts: "
+            f"{degenerate['exact_witness']} with an exact witness, "
+            f"{degenerate['no_exact_witness']} without\n"
+        )
         for failure in doc["genus_failures"] + doc["classification_failures"]:
             out.write(f"failure: {failure}\n")
         out.write("ok\n" if doc["ok"] else "FAILED\n")

@@ -32,11 +32,13 @@ from cdvdiv.blowup import (
 from cdvdiv.curvegeom import (
     NON_RATIONAL,
     RATIONAL,
+    UNDECIDED,
     RationalityResult,
     classify_rationality,
 )
 from cdvdiv.newton import (
     DEGENERATE,
+    NONDEGENERATE_PROBABLE,
     FaceVerdict,
     NewtonDiagram,
     SCAN_PRIMES,
@@ -367,11 +369,40 @@ def generate_corpus(seed: int = 0) -> List[CorpusInstance]:
 
 @dataclass
 class CorpusResult:
+    """Property violations of a corpus run, and how decided its verdicts are.
+
+    probable_verdicts counts face and chart checks that ended "probable";
+    degenerate verdicts are split by whether their torus witness was
+    verified over Q.
+    """
+
     instances: int = 0
     max_non_rational: int = 0
     violations: int = 0
     genus_failures: List[str] = field(default_factory=list)
     classification_failures: List[str] = field(default_factory=list)
+    probable_verdicts: int = 0
+    undecided_components: int = 0
+    degenerate_exact_witness: int = 0
+    degenerate_no_exact_witness: int = 0
+
+    def count_verdicts(self, analysis: "AnalysisResult") -> None:
+        """Add the face and chart verdicts and undecided components of one analysis."""
+        verdicts = []
+        for wr in analysis.weight_reports:
+            verdicts.append(wr.face_verdict)
+            for comp in wr.components:
+                verdicts.append(comp.rationality.chart_verdict)
+                self.undecided_components += comp.verdict == UNDECIDED
+        for verdict in verdicts:
+            if verdict is None:
+                continue
+            self.probable_verdicts += verdict.status == NONDEGENERATE_PROBABLE
+            if verdict.status == DEGENERATE:
+                if verdict.witness is not None and verdict.witness.exact_over_rationals:
+                    self.degenerate_exact_witness += 1
+                else:
+                    self.degenerate_no_exact_witness += 1
 
     @property
     def ok(self) -> bool:
@@ -395,6 +426,7 @@ def run_corpus(seed: int = 0, options: Optional[AnalyzeOptions] = None) -> Corpu
     for instance in generate_corpus(seed):
         analysis = analyze(instance.polynomial, options)
         result.instances += 1
+        result.count_verdicts(analysis)
         count = analysis.non_rational_count
         result.max_non_rational = max(result.max_non_rational, count)
         if analysis.uniqueness_violation:

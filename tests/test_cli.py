@@ -140,6 +140,29 @@ class TestOtherCommands:
         assert "unknown type" in err
 
 
+def test_corpus_reports_verdict_counts(monkeypatch):
+    from cdvdiv import cli
+    from cdvdiv.pipeline import CorpusResult
+
+    counted = CorpusResult(
+        instances=3,
+        probable_verdicts=4,
+        undecided_components=5,
+        degenerate_exact_witness=6,
+        degenerate_no_exact_witness=7,
+    )
+    monkeypatch.setattr(cli, "run_corpus", lambda seed: counted)
+    status, out, _err = run_config(RunConfig(command="corpus", output_format="structured"))
+    assert status == EXIT_OK
+    doc = json.loads(out)["report"]
+    assert doc["probable_verdicts"] == 4
+    assert doc["undecided_components"] == 5
+    assert doc["degenerate_verdicts"] == {"exact_witness": 6, "no_exact_witness": 7}
+    status, out, _err = run_config(RunConfig(command="corpus"))
+    assert "probable verdicts: 4, undecided components: 5" in out
+    assert "degenerate verdicts: 6 with an exact witness, 7 without" in out
+
+
 class TestMainEntry:
     def test_main_classify(self, tmp_path, capsys):
         path = write_input(tmp_path, "x^2 + y^3 + z^4 + t^4")

@@ -2,6 +2,7 @@ import pytest
 
 from cdvdiv.pipeline import (
     AnalyzeOptions,
+    CorpusResult,
     analyze,
     analyze_text,
     generate_corpus,
@@ -171,6 +172,23 @@ class TestCorpus:
             )
             assert result.classification.kind == instance.kind
             assert result.non_rational_count <= 1
+
+    def test_seed_0_corpus_verdicts_are_all_decided(self):
+        result = run_corpus(seed=0)
+        assert result.ok
+        assert result.probable_verdicts == 0
+        assert result.undecided_components == 0
+        assert result.degenerate_exact_witness == result.degenerate_no_exact_witness == 0
+
+    def test_verdict_counts_of_one_analysis(self):
+        # The chart edge 256z^4 - 96z^2 + 32z - 3 = (4z - 1)^3 (4z + 3) is
+        # degenerate; its singular point 1/4 lifts to no integer witness.
+        result = CorpusResult()
+        result.count_verdicts(analyze_text("x^2 + y^3 + z^4 + z^3*t + y*z^3*t + t^5", FAST))
+        assert result.undecided_components == 1
+        assert result.degenerate_no_exact_witness == 1
+        assert result.degenerate_exact_witness == 0
+        assert result.probable_verdicts == 0
 
     def test_run_corpus_summary_shape(self):
         result = run_corpus(seed=1)
