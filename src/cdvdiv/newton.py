@@ -515,7 +515,8 @@ def _torus_slice(terms) -> Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]:
     k = len(points[0])
 
     def rank(cols):
-        return _affine_rank([tuple(p[i] for i in cols) + (0,) * (4 - len(cols)) for p in points])
+        pad = (0,) * (4 - len(cols))
+        return _affine_rank([tuple(p[i] for i in cols) + pad for p in points])
 
     d = rank(range(k))
     K = next(cols for cols in itertools.combinations(range(k), d) if rank(cols) == d)
@@ -550,7 +551,11 @@ def _exact_test(terms, names) -> FaceVerdict | None:
             )
         axis = VARS.index(kept[0])
         factor = Polynomial(
-            {tuple(a * (i == axis) for i in range(4)): Fraction(c) for a, c in enumerate(common) if c}
+            {
+                tuple(a * (i == axis) for i in range(4)): Fraction(c)
+                for a, c in enumerate(common)
+                if c
+            }
         )
         return FaceVerdict(
             DEGENERATE,
@@ -600,8 +605,6 @@ def _resultant(a, b) -> List[int]:
     the Sylvester matrix's determinant is taken by fraction-free Bareiss
     elimination over Z[u], whose divisions are exact.
     """
-    if not b:
-        return []
     if len(b) == 1:
         return b[0]
     m, n = len(a) - 1, len(b) - 1
@@ -677,8 +680,8 @@ def _exact_div(a: List[int], b: List[int]) -> List[int]:
 def _gcd(a: List[int], b: List[int]) -> List[int]:
     """The primitive gcd in Q[u] with positive leading coefficient."""
     while b:
-        a, b = b, _content_free(_pseudo_remainder(a, b))
-    a = _content_free(a)
+        a, b = b, list(_primitive(_pseudo_remainder(a, b)))
+    a = list(_primitive(a))
     return [-c for c in a] if a and a[-1] < 0 else a
 
 
@@ -692,10 +695,6 @@ def _pseudo_remainder(a: List[int], b: List[int]) -> List[int]:
             a[shift + j] -= c * y
         a = _trim(a)
     return a
-
-
-def _content_free(p: List[int]) -> List[int]:
-    return list(_primitive(p))
 
 
 def _power_table(top: int, p: int) -> np.ndarray:
