@@ -63,7 +63,8 @@ def needs_search(g: Polynomial) -> bool:
     """No monomial, binomial or single-monomial-partial rule applies."""
     if len(g) <= 2:
         return False
-    return all(len(g.derivative(i)) != 1 for i, name in enumerate(VARS) if name in g.variables_present())
+    present = g.variables_present()
+    return all(len(g.derivative(i)) != 1 for i, name in enumerate(VARS) if name in present)
 
 
 def lift(h: dict, directions, k: int, rng) -> Polynomial:
@@ -122,6 +123,7 @@ def planted_faces():
     rng = random.Random(7)
     unit1 = {(0,): 3, (1,): 1, (3,): 2}
     unit2 = {(0, 0): 5, (1, 1): 1, (0, 2): 1}
+    cyclotomic = {(0,): 1, (1,): 1, (2,): 1}
     bases = [
         # (u - 2)^2 * (3 + u + 2u^3)
         ("square times a unit (d=1)", _mul({(0,): 4, (1,): -4, (2,): 1}, unit1)),
@@ -130,9 +132,12 @@ def planted_faces():
         # (u - 2)^2 + 3u(v - 5)^2: singular at the rational point (2, 5)
         ("rational point (d=2)", {(2, 0): 1, (1, 0): -4 + 75, (0, 0): 4, (1, 2): 3, (1, 1): -30}),
         # (u^2 - 2)^2 + u(v - 1)^2: singular at (sqrt 2, 1)
-        ("irrational point (d=2)", {(4, 0): 1, (2, 0): -4, (0, 0): 4, (1, 2): 1, (1, 1): -2, (1, 0): 1}),
+        (
+            "irrational point (d=2)",
+            {(4, 0): 1, (2, 0): -4, (0, 0): 4, (1, 2): 1, (1, 1): -2, (1, 0): 1},
+        ),
         # (u^2 + u + 1)^2 * (u + 7): a repeated irrational factor
-        ("irrational square (d=1)", _mul(_mul({(0,): 1, (1,): 1, (2,): 1}, {(0,): 1, (1,): 1, (2,): 1}), {(0,): 7, (1,): 1})),
+        ("irrational square (d=1)", _mul(_mul(cyclotomic, cyclotomic), {(0,): 7, (1,): 1})),
     ]
     cases = []
     for label, h in bases:
