@@ -9,9 +9,9 @@ Gorenstein hypersurface point is
 so the discrepancy-1 weights are exactly the primitive solutions of
 sum(w) = min-value + 2.  They lie in a polyhedron whose coordinate maxima the
 exact simplex of `cdvdiv.lp` computes; the box those maxima certify is scanned
-once (vectorized with int64 numpy) and every survivor is re-verified with
-rational arithmetic.  An unbounded polyhedron means infinitely many
-candidates, which an isolated cDV point never has.
+line by line in exact integer arithmetic, and every survivor is re-verified.
+An unbounded polyhedron means infinitely many candidates, which an isolated
+cDV point never has.
 
 The exceptional divisor of sigma_w lives in the weighted projective space
 P(w) and is cut out by the face polynomial of w; its components are the
@@ -22,12 +22,11 @@ centered at the origin).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 from typing import List, Tuple
-
-import numpy as np
 
 from cdvdiv.factorize import rational_factors
 # enumerate_weights raises UnboundedWeightsError through coordinate_maxima.
@@ -65,30 +64,51 @@ class Weight:
 def enumerate_weights(d: NewtonDiagram) -> List[Weight]:
     """All primitive weights with discrepancy exactly 1, sorted lexicographically.
 
-    Every such w lies in the polyhedron {w >= 1 : sum(w) - 2 <= <w, v> for
-    every vertex v}.  Its coordinate maxima, computed exactly, give a box
-    that certainly contains the whole set; the box is scanned once and each
-    hit is re-verified with exact arithmetic.  An unbounded polyhedron
-    raises UnboundedWeightsError.
+    Every such w lies in the polyhedron {w >= 1 : m(w) >= -2}, where
+    m(w) = min over the vertices v of sum_i (v_i - 1) w_i, and it is a
+    point where m(w) = -2.  The coordinate maxima of that polyhedron,
+    computed exactly, give a box that certainly contains the whole set.  The
+    box is scanned along the lines parallel to its longest axis j: with the
+    other three coordinates fixed, m is concave in w_j, so m >= -2 cuts out
+    an integer interval, found in one pass over the vertices, and m = -2
+    holds only at its end points - or on all of it when a vertex with
+    v_j = 1 sits at -2, since then m <= -2 throughout.  Each candidate is
+    re-checked exactly.  An unbounded polyhedron raises
+    UnboundedWeightsError.
     """
     if any(total_degree(v) < 2 for v in d.vertices):
         # sum(w) - 2 <= <w, v> fails for every w >= 1 once deg v <= 1.
         return []
     bounds = [1 + floor(m) for m in coordinate_maxima(*candidate_rows(d.vertices))]
-    vertices = np.array(d.vertices, dtype=np.int64)
-    axes = [np.arange(1, b + 1, dtype=np.int64) for b in bounds]
-    box = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
-    hits = box[box.sum(axis=1) - 2 == (box @ vertices.T).min(axis=1)]
+    j = max(range(4), key=lambda i: bounds[i])
+    others = [i for i in range(4) if i != j]
+    # (v_i - 1 for the three fixed coordinates, v_j - 1) per vertex
+    rows = [(tuple(v[i] - 1 for i in others), v[j] - 1) for v in d.vertices]
     weights = []
-    for row in hits.tolist():
-        w = tuple(row)
-        if gcd(gcd(w[0], w[1]), gcd(w[2], w[3])) != 1:
-            continue
-        weight = Weight(w)
-        # Independent exact re-check of the defining identity.
-        if weight.sum() - 1 - support_value(d, w) != 1:
-            raise AssertionError(f"scan produced a bad weight {w}")
-        weights.append(weight)
+    for rest in itertools.product(*(range(1, bounds[i] + 1) for i in others)):
+        a, b, c = rest
+        lo, hi, flat = 1, bounds[j], False
+        for (p, q, r), slope in rows:
+            s = p * a + q * b + r * c
+            if slope > 0:
+                lo = max(lo, -((s + 2) // slope))  # ceil((-2 - s) / slope)
+            elif slope < 0:  # v_j = 0
+                hi = min(hi, s + 2)
+            elif s < -2:
+                break
+            else:
+                flat = flat or s == -2
+        else:
+            if lo > hi:
+                continue
+            for wj in range(lo, hi + 1) if flat else {lo, hi}:
+                w = list(rest)
+                w.insert(j, wj)
+                w = tuple(w)
+                if gcd(gcd(w[0], w[1]), gcd(w[2], w[3])) == 1 and (
+                    sum(w) - 2 == support_value(d, w)
+                ):
+                    weights.append(Weight(w))
     weights.sort(key=lambda weight: weight.w)
     return weights
 

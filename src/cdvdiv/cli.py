@@ -8,11 +8,11 @@ Commands:
   lemmas    - intercept quadruples and the weight catalog for a named type
   corpus    - seeded uniqueness/genus property suite over normal forms
 
-The structured format is a single JSON document (schema_version "1") per
-run; the text format renders the same facts.  All randomness flows from the
---seed flag, so reports are byte-identical across runs with equal
-configuration.  Exit status: 0 success, 2 input error, 3 when analyze
-detects a uniqueness violation.
+The structured format is a single JSON document (schema_version "2") per
+run; the text format renders the same facts.  The only randomness is the
+`corpus` family, seeded by --seed, so reports are byte-identical across
+runs with equal configuration.  Exit status: 0 success, 2 input error, 3
+when analyze detects a uniqueness violation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from cdvdiv.normalform import SingularityType
 from cdvdiv.pipeline import AnalyzeOptions, analyze, run_corpus
 from cdvdiv.poly import ParseError, Polynomial, parse_polynomial, pretty
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -113,9 +113,8 @@ def _verdict(verdict) -> Dict[str, Any]:
     doc: Dict[str, Any] = {"status": verdict.status, "detail": verdict.detail}
     if verdict.witness is not None:
         doc["witness"] = {
-            "prime": verdict.witness.prime,
             "variables": list(verdict.witness.variables),
-            "point": list(verdict.witness.point),
+            "point": [_frac(c) for c in verdict.witness.point],
             "exact_over_rationals": verdict.witness.exact_over_rationals,
         }
     return doc
@@ -215,11 +214,10 @@ def _analysis_doc(result) -> Dict[str, Any]:
 
 def _cmd_classify(config: RunConfig) -> Dict[str, Any]:
     f = _load_polynomial(config)
-    options = AnalyzeOptions(truncation=config.truncation, seed=config.seed)
     try:
         from cdvdiv.normalform import classify_type
 
-        sig = classify_type(f, options.truncation)
+        sig = classify_type(f, config.truncation)
     except ValueError as err:
         raise InputError(str(err)) from err
     return {"input": pretty(f), "type": sig.label()}
@@ -231,7 +229,7 @@ def _cmd_diagram(config: RunConfig) -> Dict[str, Any]:
         diagram = build_diagram(f)
     except ValueError as err:
         raise InputError(str(err)) from err
-    verdicts = check_nondegeneracy(diagram, seed=config.seed)
+    verdicts = check_nondegeneracy(diagram)
     return {
         "input": pretty(f),
         "vertices": [list(v) for v in diagram.vertices],
@@ -272,9 +270,8 @@ def _cmd_weights(config: RunConfig) -> Dict[str, Any]:
 
 def _cmd_analyze(config: RunConfig) -> Dict[str, Any]:
     f = _load_polynomial(config)
-    options = AnalyzeOptions(truncation=config.truncation, seed=config.seed)
     try:
-        result = analyze(f, options)
+        result = analyze(f, AnalyzeOptions(truncation=config.truncation))
     except ValueError as err:
         raise InputError(str(err)) from err
     return _analysis_doc(result)
@@ -316,7 +313,7 @@ def _cmd_corpus(config: RunConfig) -> Dict[str, Any]:
         "genus_failures": result.genus_failures,
         "classification_failures": result.classification_failures,
         "ok": result.ok,
-        "probable_verdicts": result.probable_verdicts,
+        "undecided_verdicts": result.undecided_verdicts,
         "undecided_components": result.undecided_components,
         "degenerate_verdicts": {
             "exact_witness": result.degenerate_exact_witness,
@@ -414,7 +411,7 @@ def _render_text(command: str, doc: Dict[str, Any], out) -> None:
         out.write(f"uniqueness violations: {doc['uniqueness_violations']}\n")
         degenerate = doc["degenerate_verdicts"]
         out.write(
-            f"probable verdicts: {doc['probable_verdicts']}, undecided components: "
+            f"undecided verdicts: {doc['undecided_verdicts']}, undecided components: "
             f"{doc['undecided_components']}, degenerate verdicts: "
             f"{degenerate['exact_witness']} with an exact witness, "
             f"{degenerate['no_exact_witness']} without\n"
@@ -486,7 +483,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reduce at this total degree only (default: the smallest degree "
         "whose S_max certificate holds, at most 2*deg+4)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed of the `corpus` family (default 0)"
+    )
     parser.add_argument(
         "--format",
         dest="output_format",

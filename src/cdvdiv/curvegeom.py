@@ -26,8 +26,6 @@ from cdvdiv.newton import (
     DEGENERATE,
     FaceVerdict,
     NONDEGENERATE_CERTIFIED,
-    NONDEGENERATE_PROBABLE,
-    SCAN_PRIMES,
     singular_torus_search,
 )
 from cdvdiv.poly import (
@@ -269,8 +267,6 @@ def is_hyperelliptic(p: LatticePolygon) -> bool:
 def chart_nondegeneracy(
     g2: Polynomial,
     chart_vars: Tuple[str, str],
-    seed: int,
-    scan_primes: Sequence[int] = SCAN_PRIMES,
 ) -> FaceVerdict:
     """Non-degeneracy of the chart curve with respect to its Newton polygon.
 
@@ -292,10 +288,10 @@ def chart_nondegeneracy(
             pieces.append(Polynomial(edge_terms))
     worst = FaceVerdict(NONDEGENERATE_CERTIFIED, "all polygon pieces certified")
     for piece in pieces:
-        verdict = singular_torus_search(piece, seed=seed, scan_primes=scan_primes)
+        verdict = singular_torus_search(piece)
         if verdict.status == DEGENERATE:
             return verdict
-        if verdict.status == NONDEGENERATE_PROBABLE and worst.status != DEGENERATE:
+        if verdict.status != NONDEGENERATE_CERTIFIED:
             worst = verdict
     return worst
 
@@ -320,8 +316,6 @@ def classify_rationality(
     face_dimension: int,
     w: Weight,
     singularity_kind: str,
-    seed: int = 0,
-    scan_primes: Sequence[int] = SCAN_PRIMES,
 ) -> RationalityResult:
     """Decide rationality of one discrepancy-1 exceptional component.
 
@@ -376,11 +370,12 @@ def classify_rationality(
             hyperelliptic=True,
             hyperelliptic_by_convention=True,
         )
-    verdict = chart_nondegeneracy(chart, chart_vars, seed=seed, scan_primes=scan_primes)
-    if verdict.status == DEGENERATE:
+    verdict = chart_nondegeneracy(chart, chart_vars)
+    if verdict.status != NONDEGENERATE_CERTIFIED:
+        degenerate = verdict.status == DEGENERATE
         return RationalityResult(
             UNDECIDED,
-            "chart_degenerate",
+            "chart_degenerate" if degenerate else "chart_undecided",
             cone=cone,
             chart=chart,
             chart_variables=chart_vars,
@@ -390,14 +385,13 @@ def classify_rationality(
             hyperelliptic_by_convention=by_convention,
             chart_verdict=verdict,
             warnings=(
-                "chart curve is degenerate with respect to its polygon; "
-                "the interior-point genus is only an upper bound",
+                (
+                    "chart curve is degenerate with respect to its polygon"
+                    if degenerate
+                    else "non-degeneracy of the chart curve is undecided"
+                )
+                + "; the interior-point genus is only an upper bound",
             ),
-        )
-    warnings = ()
-    if verdict.status == NONDEGENERATE_PROBABLE:
-        warnings = (
-            "chart non-degeneracy is probabilistic; genus relies on it",
         )
     return RationalityResult(
         NON_RATIONAL,
@@ -410,5 +404,4 @@ def classify_rationality(
         hyperelliptic=hyper,
         hyperelliptic_by_convention=by_convention,
         chart_verdict=verdict,
-        warnings=warnings,
     )

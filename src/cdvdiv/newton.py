@@ -23,11 +23,7 @@ derivative that is a single monomial), or else decided exactly in the
 face's own dimension d when d <= 2 - reduced to d variables, by a
 squarefree test for d = 1 (both ways) and a resultant gcd for d = 2 (which
 can only certify).  Faces of dimension 3 and the d = 2 faces the resultants
-leave open are searched for singular torus points over prime fields -
-exhaustively for at most 2 effective variables, as a power-table matrix
-product over the whole grid GF(p)*^k, by seeded random sampling above
-that.  Probabilistic verdicts are explicitly labelled and never silently
-trusted.
+leave open are reported as undecided.  Every verdict is exact.
 """
 
 from __future__ import annotations
@@ -39,8 +35,6 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-import numpy as np
-
 from cdvdiv.lp import minimal_points
 from cdvdiv.poly import ExponentVector, Polynomial, VARS, grlex_key, pretty
 
@@ -51,20 +45,9 @@ AXES: Tuple[ExponentVector, ...] = (
     (0, 0, 0, 1),
 )
 
-# Primes used by the singular-point search: large ones for random sampling,
-# small ones for the exhaustive 1- and 2-variable torus scans.
-SAMPLING_PRIMES: Tuple[int, ...] = (
-    2147483647,
-    2147483629,
-    2147483587,
-    2147483579,
-    2147483563,
-)
-SCAN_PRIMES: Tuple[int, ...] = (241, 251, 257)
-
 NONDEGENERATE_CERTIFIED = "nondegenerate_certified"
-NONDEGENERATE_PROBABLE = "nondegenerate_probable"
 DEGENERATE = "degenerate"
+UNDECIDED = "undecided"
 
 
 def _dot(w: Sequence[int], v: Sequence[int]) -> int:
@@ -291,12 +274,15 @@ def face_polynomial(f: Polynomial, w: Sequence[int]) -> Polynomial:
 
 @dataclass(frozen=True)
 class TorusWitness:
-    """A singular point of a face polynomial with all coordinates nonzero."""
+    """A singular point of a face polynomial with all coordinates nonzero.
 
-    prime: int
+    The point is checked exactly over Q, so exact_over_rationals is always
+    true; the field stays for readers that still look at it.
+    """
+
     variables: Tuple[str, ...]
-    point: Tuple[int, ...]
-    exact_over_rationals: bool
+    point: Tuple[Fraction, ...]
+    exact_over_rationals: bool = True
 
 
 @dataclass(frozen=True)
@@ -304,35 +290,6 @@ class FaceVerdict:
     status: str  # one of the module-level verdict constants
     detail: str
     witness: TorusWitness | None = None
-
-
-def _fraction_mod(c: Fraction, p: int) -> int:
-    den = c.denominator % p
-    if den == 0:
-        raise ZeroDivisionError
-    return (c.numerator % p) * pow(den, p - 2, p) % p
-
-
-def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    result = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            result = result * b % p
-        b = b * b % p
-        e >>= 1
-    return result
-
-
-def _eval_terms_mod(terms, cols: List[np.ndarray], p: int) -> np.ndarray:
-    total = np.zeros_like(cols[0])
-    for exps, coeff in terms:
-        acc = np.full_like(cols[0], _fraction_mod(coeff, p))
-        for j, e in enumerate(exps):
-            if e:
-                acc = acc * _pow_mod_vec(cols[j], e, p) % p
-        total = (total + acc) % p
-    return total
 
 
 def _restricted_terms(g: Polynomial, var_idx: Sequence[int]):
@@ -354,32 +311,7 @@ def _derived_terms(terms, j: int):
     return out
 
 
-def _search_grid(terms, partials, evaluate):
-    """First index where the polynomial and all partials vanish simultaneously.
-
-    `evaluate(terms)` returns the values mod p at every point; the partials
-    are evaluated only while some point is left.
-    """
-    mask = evaluate(terms) == 0
-    if not mask.any():
-        return None
-    for dterms in partials:
-        if not dterms:
-            continue
-        mask &= evaluate(dterms) == 0
-        if not mask.any():
-            return None
-    idx = np.nonzero(mask)[0]
-    return int(idx[0])
-
-
-def singular_torus_search(
-    g: Polynomial,
-    seed: int,
-    samples: int = 100_000,
-    scan_primes: Sequence[int] = SCAN_PRIMES,
-    sampling_primes: Sequence[int] = SAMPLING_PRIMES,
-) -> FaceVerdict:
+def singular_torus_search(g: Polynomial) -> FaceVerdict:
     """Decide non-degeneracy of a single quasihomogeneous piece.
 
     In order:
@@ -393,12 +325,10 @@ def singular_torus_search(
          d = 1, which decides both ways, and two resultants for d = 2, which
          can only certify (`_exact_test`);
       3. everything else - d = 3, and d = 2 faces the resultants leave open -
-         is searched for singular points with all coordinates nonzero over
-         prime fields, and any hit is reported as a witness; absence of hits
-         only ever yields a "probable" verdict.
+         is undecided.
 
-    A g that the d = 1 test proves degenerate is searched as well, for a
-    witness, and stays degenerate when the search finds none.
+    A g that the d = 1 test proves degenerate carries a witness when the
+    repeated factor of h has a rational root, and none otherwise.
     """
     if g.is_zero():
         raise ValueError("cannot check the zero polynomial")
@@ -411,64 +341,13 @@ def singular_torus_search(
         )
     var_idx = [i for i in range(4) if VARS[i] in names]
     terms = _restricted_terms(g, var_idx)
-    partials = [_derived_terms(terms, j) for j in range(len(var_idx))]
-    for j, dterms in enumerate(partials):
-        if len(dterms) == 1:
+    for j in range(len(var_idx)):
+        if len(_derived_terms(terms, j)) == 1:
             return FaceVerdict(
                 NONDEGENERATE_CERTIFIED,
                 f"d/d{names[j]} is a single monomial, nonzero on the torus",
             )
-
-    exact = _exact_test(terms, names)
-    if exact is not None and exact.status == NONDEGENERATE_CERTIFIED:
-        return exact
-    verdict = _modp_search(
-        g, names, var_idx, terms, partials, seed, samples, scan_primes, sampling_primes
-    )
-    if exact is not None and verdict.status != DEGENERATE:
-        return exact
-    return verdict
-
-
-def _modp_search(
-    g, names, var_idx, terms, partials, seed, samples, scan_primes, sampling_primes
-) -> FaceVerdict:
-    """Singular torus points of g over prime fields: a witness, or "probable"."""
-    k = len(var_idx)
-    if k <= 2:
-        for p in scan_primes:
-            try:
-                witness = _scan_all(terms, partials, k, p)
-            except ZeroDivisionError:
-                continue  # a denominator vanishes mod p; try the next prime
-            if witness is not None:
-                return _witness_verdict(g, names, var_idx, witness, p)
-        return FaceVerdict(
-            NONDEGENERATE_PROBABLE,
-            f"no singular torus point over GF(p) for p in {tuple(scan_primes)} "
-            "(exhaustive scan)",
-        )
-
-    rng = np.random.default_rng(seed)
-    per_prime = max(1, samples // len(sampling_primes))
-    for p in sampling_primes:
-        try:
-            cols = [
-                rng.integers(1, p, size=per_prime, dtype=np.int64) for _ in range(k)
-            ]
-            hit = _search_grid(
-                terms, partials, lambda t: _eval_terms_mod(t, cols, p)
-            )
-        except ZeroDivisionError:
-            continue
-        if hit is not None:
-            point = tuple(int(col[hit]) for col in cols)
-            return _witness_verdict(g, names, var_idx, point, p)
-    return FaceVerdict(
-        NONDEGENERATE_PROBABLE,
-        f"no singular torus point found in {samples} samples over "
-        f"{len(sampling_primes)} large prime fields",
-    )
+    return _exact_test(g, terms, names)
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +408,8 @@ def _torus_slice(terms) -> Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]:
     return K, h
 
 
-def _exact_test(terms, names) -> FaceVerdict | None:
-    """The exact verdict on g when its support has dimension 1 or 2, else None.
-
-    None also when the dimension-2 test cannot decide.  A degenerate verdict
-    here has no witness; `singular_torus_search` looks for one.
-    """
+def _exact_test(g: Polynomial, terms, names) -> FaceVerdict:
+    """The exact verdict on g, or undecided when no exact test settles it."""
     K, h = _torus_slice(terms)
     kept = [names[i] for i in K]
     others = [n for n in names if n not in kept]
@@ -561,6 +436,7 @@ def _exact_test(terms, names) -> FaceVerdict | None:
             DEGENERATE,
             f"exact (dimension 1): h({kept[0]}) = {slice_text} has the repeated "
             f"factor {pretty(factor)}",
+            _repeated_root_witness(g, names, axis, factor),
         )
     if len(K) == 2:
         # Resultants in the variable of lower degree keep the matrices small.
@@ -575,6 +451,40 @@ def _exact_test(terms, names) -> FaceVerdict | None:
                 f"exact (dimension 2): h({u}, {v}) = {slice_text} has "
                 f"Res_{v}(h, h_{v}) and Res_{v}(h, h_{u}) coprime in {u}",
             )
+        return FaceVerdict(
+            UNDECIDED,
+            f"undecided (dimension 2): Res_{v}(h, h_{v}) and Res_{v}(h, h_{u}) "
+            f"of h({u}, {v}) = {slice_text} do not certify it",
+        )
+    return FaceVerdict(UNDECIDED, "undecided (dimension 3): no exact test applies")
+
+
+def _repeated_root_witness(
+    g: Polynomial, names: Sequence[str], axis: int, factor: Polynomial
+) -> TorusWitness | None:
+    """A singular torus point of g at a rational root of the repeated factor.
+
+    factor divides gcd(h, h') in the variable VARS[axis]; a root of it is a
+    singular point of h, and so of g on the slice where every other present
+    variable is 1 (`_torus_slice`).  The roots come from the linear factors
+    over Q; without one there is no witness.
+    """
+    # factorize imports this module, so the import waits for the first call.
+    from cdvdiv.factorize import rational_factors
+
+    unit = tuple(int(i == axis) for i in range(4))
+    for linear, _mult in rational_factors(factor)[1]:
+        if linear.degree() != 1:
+            continue
+        root = -linear.coefficient((0, 0, 0, 0)) / linear.coefficient(unit)
+        full = [Fraction(1)] * 4
+        full[axis] = root
+        if root == 0 or g.evaluate(full) != 0 or any(
+            g.derivative(i).evaluate(full) for i in range(4) if VARS[i] in names
+        ):
+            raise AssertionError(f"{VARS[axis]} = {root} is no singular torus point of g")
+        point = tuple(full[VARS.index(n)] for n in names)
+        return TorusWitness(variables=tuple(names), point=point)
     return None
 
 
@@ -697,76 +607,12 @@ def _pseudo_remainder(a: List[int], b: List[int]) -> List[int]:
     return a
 
 
-def _power_table(top: int, p: int) -> np.ndarray:
-    """V[i, e] = u_i^e mod p over the units u = 1..p-1, for e = 0..top."""
-    units = np.arange(1, p, dtype=np.int64)
-    table = np.ones((p - 1, top + 1), dtype=np.int64)
-    for e in range(1, top + 1):
-        table[:, e] = table[:, e - 1] * units % p
-    return table
-
-
-def _grid_values(terms, tables: List[np.ndarray], p: int) -> np.ndarray:
-    """Values mod p on the whole torus grid, in row-major order."""
-    coeffs = np.zeros(tuple(table.shape[1] for table in tables), dtype=np.int64)
-    for exps, coeff in terms:
-        coeffs[exps] = (coeffs[exps] + _fraction_mod(coeff, p)) % p
-    values = tables[0] @ coeffs % p
-    if len(tables) == 2:
-        values = values @ tables[1].T % p
-    return values.ravel()
-
-
-def _scan_all(terms, partials, k: int, p: int):
-    """First singular point of the terms on the torus GF(p)*^k (k <= 2), or None.
-
-    With power tables V_j over the units and the dense coefficient array C,
-    the values on the grid are V_1 C (k = 1) or V_1 C V_2^T (k = 2); points
-    are visited with the first variable varying slowest.  Every product
-    entry is a sum of at most top + 1 terms below p^2, checked to fit int64.
-    """
-    tops = [max(exps[j] for exps, _ in terms) for j in range(k)]
-    if (max(tops) + 1) * (p - 1) ** 2 > np.iinfo(np.int64).max:
-        raise OverflowError(f"GF({p}) scan products would overflow int64")
-    tables = [_power_table(top, p) for top in tops]
-    hit = _search_grid(terms, partials, lambda t: _grid_values(t, tables, p))
-    if hit is None:
-        return None
-    return tuple(int(i) + 1 for i in np.unravel_index(hit, (p - 1,) * k))
-
-
-def _witness_verdict(g, names, var_idx, point, p) -> FaceVerdict:
-    # Centered lift; if the lifted point is singular over Q the witness is exact.
-    lifted = [v if v <= p // 2 else v - p for v in point]
-    full = [Fraction(1)] * 4
-    for pos, i in enumerate(var_idx):
-        full[i] = Fraction(lifted[pos])
-    exact = g.evaluate(full) == 0 and all(
-        g.derivative(i).evaluate(full) == 0 for i in var_idx
-    )
-    shown = tuple(lifted) if exact else tuple(point)
-    return FaceVerdict(
-        DEGENERATE,
-        f"singular torus point over GF({p})"
-        + (" (verified exactly over Q)" if exact else ""),
-        TorusWitness(prime=p, variables=names, point=shown, exact_over_rationals=exact),
-    )
-
-
-def check_nondegeneracy(
-    d: NewtonDiagram, seed: int, samples_per_face: int = 100_000
-) -> List[Tuple[Face, FaceVerdict]]:
-    """Run the non-degeneracy check on every compact face of the diagram.
-
-    Per-face results are independent and deterministic for a fixed seed.
-    """
+def check_nondegeneracy(d: NewtonDiagram) -> List[Tuple[Face, FaceVerdict]]:
+    """Run the non-degeneracy check on every compact face of the diagram."""
     results = []
     for face in d.faces:
         fp = Polynomial(
             {v: d.source.coefficient(v) for v in face.lattice_points}
         )
-        face_seed = seed * 1_000_003 + hash(face.lattice_points) % 1_000_003
-        results.append(
-            (face, singular_torus_search(fp, seed=face_seed, samples=samples_per_face))
-        )
+        results.append((face, singular_torus_search(fp)))
     return results

@@ -19,13 +19,11 @@ from cdvdiv.normalform import (
     reduce_to_normal_form,
     replay,
 )
-from cdvdiv.pipeline import AnalyzeOptions, analyze, analyze_text, run_corpus
+from cdvdiv.pipeline import analyze, analyze_text, run_corpus
 from cdvdiv.poly import Polynomial, parse_polynomial
 from weight_oracle import brute_force_weights, oracle_bound
 
 P = parse_polynomial
-
-ANALYZE_OPTIONS = AnalyzeOptions(face_samples=2000, scan_primes=(241,))
 
 
 def report(number: int, name: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -133,9 +131,7 @@ def test_criterion_3_cd_family():
     worst = 0.0
     for k in range(2, 7):
         start = time.monotonic()
-        result = analyze_text(
-            f"x^2 + y^2*z + z^{2 * k - 1} + t^{2 * k - 1}", ANALYZE_OPTIONS
-        )
+        result = analyze_text(f"x^2 + y^2*z + z^{2 * k - 1} + t^{2 * k - 1}")
         elapsed = time.monotonic() - start
         worst = max(worst, elapsed)
         reports = result.non_rational_reports()
@@ -153,7 +149,7 @@ def test_criterion_3_cd_family():
 
 def test_criterion_4_ce7_example():
     start = time.monotonic()
-    result = analyze_text("x^2 + y^3 + y*z^3 + t^9", ANALYZE_OPTIONS)
+    result = analyze_text("x^2 + y^3 + y*z^3 + t^9")
     reports = [r for r in result.non_rational_reports() if r.weight.w == (5, 3, 2, 1)]
     ok = len(reports) == 1
     if reports:
@@ -164,7 +160,7 @@ def test_criterion_4_ce7_example():
 
 def test_criterion_5_ce8_example():
     start = time.monotonic()
-    result = analyze_text("x^2 + y^3 + z^5 + t^15", ANALYZE_OPTIONS)
+    result = analyze_text("x^2 + y^3 + z^5 + t^15")
     reports = result.non_rational_reports()
     ok = len(reports) == 1
     if reports:

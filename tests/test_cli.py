@@ -58,7 +58,7 @@ class TestAnalyzeCommand:
         )
         assert status == EXIT_OK
         doc = json.loads(out)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert doc["report"]["uniqueness"]["non_rational_discrepancy_one"] == 1
         assert doc["report"]["classification"] == "cD_4"
 
@@ -146,7 +146,7 @@ def test_corpus_reports_verdict_counts(monkeypatch):
 
     counted = CorpusResult(
         instances=3,
-        probable_verdicts=4,
+        undecided_verdicts=4,
         undecided_components=5,
         degenerate_exact_witness=6,
         degenerate_no_exact_witness=7,
@@ -155,11 +155,11 @@ def test_corpus_reports_verdict_counts(monkeypatch):
     status, out, _err = run_config(RunConfig(command="corpus", output_format="structured"))
     assert status == EXIT_OK
     doc = json.loads(out)["report"]
-    assert doc["probable_verdicts"] == 4
+    assert doc["undecided_verdicts"] == 4
     assert doc["undecided_components"] == 5
     assert doc["degenerate_verdicts"] == {"exact_witness": 6, "no_exact_witness": 7}
     status, out, _err = run_config(RunConfig(command="corpus"))
-    assert "probable verdicts: 4, undecided components: 5" in out
+    assert "undecided verdicts: 4, undecided components: 5" in out
     assert "degenerate verdicts: 6 with an exact witness, 7 without" in out
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cdvdiv import curvegeom
 from cdvdiv.blowup import Weight
 from cdvdiv.curvegeom import (
     LatticePolygon,
@@ -16,6 +17,7 @@ from cdvdiv.curvegeom import (
     polygon_genus,
     polygon_of,
 )
+from cdvdiv.newton import UNDECIDED, FaceVerdict
 from cdvdiv.poly import parse_polynomial
 
 P = parse_polynomial
@@ -237,3 +239,18 @@ class TestClassifyRationality:
         assert result.rule == "chart_degenerate"
         assert result.chart_verdict is not None
         assert result.chart_verdict.witness is not None
+
+    def test_undecided_chart_downgrades_to_undecided(self, monkeypatch):
+        undecided = FaceVerdict(UNDECIDED, "undecided (dimension 2): ...")
+        monkeypatch.setattr(curvegeom, "singular_torus_search", lambda g: undecided)
+        result = classify_rationality(
+            P("y^2*z + 2*y*z^4 + z^7 + t^9"),
+            face_dimension=2,
+            w=Weight((5, 4, 1, 1)),
+            singularity_kind="cD",
+        )
+        assert result.verdict == "undecided"
+        assert result.rule == "chart_undecided"
+        assert result.chart_verdict is undecided
+        assert result.genus is not None
+        assert result.warnings[0].startswith("non-degeneracy of the chart curve is undecided")

@@ -247,7 +247,10 @@ def test_seeded_shapes_cover_every_rule():
 
 def test_importing_the_cli_does_not_import_sympy():
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, cdvdiv, cdvdiv.cli; print('sympy' in sys.modules)"
+    code = (
+        "import sys, cdvdiv, cdvdiv.cli; "
+        "print('sympy' in sys.modules, 'numpy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -255,7 +258,7 @@ def test_importing_the_cli_does_not_import_sympy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("text", ["y^2 - 4*z^2*t^2", "x^4 + 4*y^4"])

@@ -2,8 +2,9 @@
 
 g has a singular point on the torus of its variables iff the ideal
 (g, dg/dx_1, ..., dg/dx_k, 1 - s*x_1*...*x_k) is not the unit ideal
-(Rabinowitsch's trick), which sympy's `groebner` decides exactly.  sympy is
-used here only, never by the code under test.
+(Rabinowitsch's trick), which sympy's `groebner` decides exactly.  The code
+under test computes no Gröbner basis; it loads sympy at most to factor the
+repeated factor of a degenerate edge.
 
 The cases are seeded quasi-homogeneous faces of dimension 1 and 2 in 2 to 4
 variables, planted degenerate faces (a squared factor times a unit, and a
@@ -26,6 +27,7 @@ import sympy
 from cdvdiv.newton import (
     DEGENERATE,
     NONDEGENERATE_CERTIFIED,
+    UNDECIDED,
     _affine_rank,
     build_diagram,
     singular_torus_search,
@@ -183,24 +185,41 @@ def corpus_faces():
 CASES = seeded_faces() + planted_faces() + OFFSET_FACES + corpus_faces()
 
 
+def assert_singular_torus_point(g: Polynomial, witness) -> None:
+    """The witness is a torus point where g and its partials vanish exactly."""
+    point = [Fraction(1)] * 4
+    for name, value in zip(witness.variables, witness.point):
+        assert value != 0, witness
+        point[VARS.index(name)] = Fraction(value)
+    assert g.evaluate(point) == 0, witness
+    for i, name in enumerate(VARS):
+        if name in g.variables_present():
+            assert g.derivative(i).evaluate(point) == 0, witness
+
+
 def check_agrees(g: Polynomial) -> None:
     """A definite verdict never contradicts the oracle, and d <= 2 decides.
 
     The dimension-1 test decides both ways; the dimension-2 test certifies
-    every non-singular face here and leaves the singular ones to the search.
+    every non-singular face here and leaves the singular ones undecided.
     """
-    verdict = singular_torus_search(g, seed=0)
+    verdict = singular_torus_search(g)
     singular = torus_singular(g)
+    assert verdict.status != "nondegenerate_probable", verdict.detail
     if verdict.status == NONDEGENERATE_CERTIFIED:
         assert not singular, verdict.detail
-    if verdict.status == DEGENERATE and verdict.witness is not None:
-        if verdict.witness.exact_over_rationals:
-            assert singular, verdict.detail
+    if verdict.status == DEGENERATE:
+        assert singular, verdict.detail
+    if verdict.witness is not None:
+        assert_singular_torus_point(g, verdict.witness)
     d = dimension(g)
     if d == 1 and needs_search(g):
         assert verdict.status == (DEGENERATE if singular else NONDEGENERATE_CERTIFIED)
-    if d == 2 and not singular:
-        assert verdict.status == NONDEGENERATE_CERTIFIED, verdict.detail
+    if d == 2:
+        if singular:
+            assert verdict.status in (UNDECIDED, DEGENERATE), verdict.detail
+        else:
+            assert verdict.status == NONDEGENERATE_CERTIFIED, verdict.detail
 
 
 @pytest.mark.parametrize("label,g", CASES, ids=[label for label, _ in CASES])
@@ -224,15 +243,20 @@ def test_case_set_covers_the_claimed_shapes():
 
 
 def test_repeated_factor_without_a_witness_stays_degenerate():
-    # (z^2 - 2t^2)^2 (z + 7t): 2 is not a square mod 251, so GF(251) has no
-    # singular torus point, and the exact test still names the square.
+    # (z^2 - 2t^2)^2 (z + 7t): the repeated factor has no rational root, so
+    # there is no witness, and the exact test still names the square.
     g = (P("z^2 - 2*t^2") ** 2) * P("z + 7*t")
-    verdict = singular_torus_search(g, seed=0, scan_primes=(251,))
+    verdict = singular_torus_search(g)
     assert verdict.status == DEGENERATE
     assert verdict.witness is None
     assert "repeated factor z^2 - 2" in verdict.detail
-    found = singular_torus_search(g, seed=0, scan_primes=(241,))
-    assert found.status == DEGENERATE and found.witness is not None
+
+
+def test_dimension_3_is_undecided():
+    g = P("x^2*y + y^2*z + z^2*t + t^2*x")
+    assert dimension(g) == 3 and needs_search(g)
+    verdict = singular_torus_search(g)
+    assert verdict.status == UNDECIDED and verdict.witness is None
 
 
 def test_powers_of_u_are_stripped_from_the_resultants():
@@ -240,15 +264,15 @@ def test_powers_of_u_are_stripped_from_the_resultants():
     # which is no torus point.
     g = P("2*z^3*t + 2*z^3 - 2*z^2 + t^2")
     assert not torus_singular(g)
-    verdict = singular_torus_search(g, seed=0)
+    verdict = singular_torus_search(g)
     assert verdict.status == NONDEGENERATE_CERTIFIED
     assert verdict.detail.startswith("exact (dimension 2)")
 
 
 def test_slice_keeps_variables_that_span_the_face():
-    verdict = singular_torus_search(P("z*t^2 + z*t + z"), seed=0)
+    verdict = singular_torus_search(P("z*t^2 + z*t + z"))
     assert verdict.detail == "exact (dimension 1): h(t) = g at z = 1 is squarefree"
-    verdict = singular_torus_search(P("x^2*y*z^3 + x^2*y*t^2 + x^2*y*z*t + 2*x^2*y"), seed=0)
+    verdict = singular_torus_search(P("x^2*y*z^3 + x^2*y*t^2 + x^2*y*z*t + 2*x^2*y"))
     assert verdict.detail.startswith("exact (dimension 2): h(z, t) = g at x, y = 1")
 
 

@@ -12,12 +12,10 @@ from cdvdiv.poly import parse_polynomial
 
 P = parse_polynomial
 
-FAST = AnalyzeOptions(face_samples=500, scan_primes=(241,))
-
 
 class TestAnalyzeExamples:
     def test_cd4_example(self):
-        result = analyze_text("x^2 + y^2*z + z^3 + t^3", FAST)
+        result = analyze_text("x^2 + y^2*z + z^3 + t^3")
         assert result.classification.label() == "cD_4"
         reports = result.non_rational_reports()
         assert len(reports) == 1
@@ -29,7 +27,7 @@ class TestAnalyzeExamples:
         assert not result.uniqueness_violation
 
     def test_cd_family_member(self):
-        result = analyze_text("x^2 + y^2*z + z^5 + t^5", FAST)
+        result = analyze_text("x^2 + y^2*z + z^5 + t^5")
         assert result.classification.label() == "cD_6"
         reports = result.non_rational_reports()
         assert len(reports) == 1
@@ -38,7 +36,7 @@ class TestAnalyzeExamples:
         assert reports[0].hyperelliptic is True
 
     def test_ce7_example(self):
-        result = analyze_text("x^2 + y^3 + y*z^3 + t^9", FAST)
+        result = analyze_text("x^2 + y^3 + y*z^3 + t^9")
         assert result.classification.label() == "cE7"
         reports = result.non_rational_reports()
         assert len(reports) == 1
@@ -48,7 +46,7 @@ class TestAnalyzeExamples:
         assert report.hyperelliptic is False
 
     def test_ce8_example(self):
-        result = analyze_text("x^2 + y^3 + z^5 + t^15", FAST)
+        result = analyze_text("x^2 + y^3 + z^5 + t^15")
         reports = result.non_rational_reports()
         assert len(reports) == 1
         report = reports[0]
@@ -57,7 +55,7 @@ class TestAnalyzeExamples:
         assert report.hyperelliptic is False
 
     def test_ordinary_double_point(self):
-        result = analyze_text("x^2 + y^2 + z^2 + t^2", FAST)
+        result = analyze_text("x^2 + y^2 + z^2 + t^2")
         assert result.classification.label() == "cA_1"
         assert result.non_rational_count == 0
         assert not result.uniqueness_violation
@@ -69,12 +67,12 @@ class TestAnalyzeExamples:
         from cdvdiv.poly import Polynomial
 
         with pytest.raises(ValueError):
-            analyze(Polynomial.zero(), FAST)
+            analyze(Polynomial.zero())
 
     def test_reduction_applied_before_diagram(self):
         # x-linear noise must not change the verdicts
-        clean = analyze_text("x^2 + y^2*z + z^3 + t^3", FAST)
-        noisy = analyze_text("x^2 + 2*x*t^2 + y^2*z + z^3 + t^3", FAST)
+        clean = analyze_text("x^2 + y^2*z + z^3 + t^3")
+        noisy = analyze_text("x^2 + 2*x*t^2 + y^2*z + z^3 + t^3")
         assert noisy.classification == clean.classification
         assert [r.weight.w for r in noisy.non_rational_reports()] == [
             r.weight.w for r in clean.non_rational_reports()
@@ -103,13 +101,13 @@ class TestAnalyzeExamples:
         f = P(text)
         expected = normalform.classify_type(f)
         monkeypatch.setattr(normalform, "_analyze_germ", counted)
-        result = analyze(f, FAST)
+        result = analyze(f)
         assert len(calls) == 1
         assert result.classification == expected
         assert result.classification.label() == label
 
     def test_every_weight_has_discrepancy_one_base(self):
-        result = analyze_text("x^2 + y^3 + z^5 + t^15", FAST)
+        result = analyze_text("x^2 + y^3 + z^5 + t^15")
         for wr in result.weight_reports:
             assert wr.weight.sum() - 1 - wr.support_value == 1
             for comp in wr.components:
@@ -135,7 +133,7 @@ class TestCatalogRealizations:
         ],
     )
     def test_realized_catalog_weight(self, text, weight, genus, hyper):
-        result = analyze_text(text, FAST)
+        result = analyze_text(text)
         reports = [r for r in result.non_rational_reports() if r.weight.w == weight]
         assert len(reports) == 1, [r.weight.w for r in result.non_rational_reports()]
         assert reports[0].genus == genus
@@ -147,7 +145,7 @@ class TestCatalogRealizations:
         # (3,2,1,1) and (3,3,1,1), so their faces contain a y-linear
         # monomial and the components come out rational - the inconsistency
         # the catalog correspondence flags.
-        result = analyze_text("x^2 + y^3 + y*z^3 + t^6", FAST)
+        result = analyze_text("x^2 + y^3 + y*z^3 + t^6")
         by_weight = {wr.weight.w: wr for wr in result.weight_reports}
         for w in ((3, 2, 1, 1), (3, 3, 1, 1)):
             if w not in by_weight:
@@ -168,7 +166,7 @@ class TestCorpus:
         for instance in generate_corpus(seed=0)[:6]:
             result = analyze(
                 instance.polynomial,
-                AnalyzeOptions(face_samples=200, scan_primes=(101,), check_faces=False),
+                AnalyzeOptions(check_faces=False),
             )
             assert result.classification.kind == instance.kind
             assert result.non_rational_count <= 1
@@ -176,19 +174,32 @@ class TestCorpus:
     def test_seed_0_corpus_verdicts_are_all_decided(self):
         result = run_corpus(seed=0)
         assert result.ok
-        assert result.probable_verdicts == 0
+        assert result.undecided_verdicts == 0
         assert result.undecided_components == 0
         assert result.degenerate_exact_witness == result.degenerate_no_exact_witness == 0
 
     def test_verdict_counts_of_one_analysis(self):
         # The chart edge 256z^4 - 96z^2 + 32z - 3 = (4z - 1)^3 (4z + 3) is
-        # degenerate; its singular point 1/4 lifts to no integer witness.
+        # degenerate; its singular point z = 1/4 is an exact witness.
         result = CorpusResult()
-        result.count_verdicts(analyze_text("x^2 + y^3 + z^4 + z^3*t + y*z^3*t + t^5", FAST))
+        result.count_verdicts(analyze_text("x^2 + y^3 + z^4 + z^3*t + y*z^3*t + t^5"))
         assert result.undecided_components == 1
-        assert result.degenerate_no_exact_witness == 1
-        assert result.degenerate_exact_witness == 0
-        assert result.probable_verdicts == 0
+        assert result.degenerate_exact_witness == 1
+        assert result.degenerate_no_exact_witness == 0
+        assert result.undecided_verdicts == 0
+
+    def test_undecided_face_warns_and_counts(self, monkeypatch):
+        from cdvdiv import pipeline
+        from cdvdiv.newton import UNDECIDED, FaceVerdict
+
+        undecided = FaceVerdict(UNDECIDED, "undecided (dimension 3): no exact test applies")
+        monkeypatch.setattr(pipeline, "singular_torus_search", lambda g: undecided)
+        analysis = analyze_text("x^2 + y^2*z + z^3 + t^3")
+        warned = [w for w in analysis.warnings if "is undecided" in w]
+        assert len(warned) == len(analysis.weight_reports) > 0
+        result = CorpusResult()
+        result.count_verdicts(analysis)
+        assert result.undecided_verdicts == len(analysis.weight_reports)
 
     def test_run_corpus_summary_shape(self):
         result = run_corpus(seed=1)

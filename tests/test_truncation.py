@@ -32,8 +32,6 @@ from test_structured_golden import ANALYZE_GERMS
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from workloads import reduction_inputs  # noqa: E402
 
-FAST = AnalyzeOptions(face_samples=500, scan_primes=(241,))
-
 
 def _sampled_reduction_germs():
     rng = random.Random(12)
@@ -66,8 +64,8 @@ def test_certified_degree_matches_the_ceiling(label, f):
         assert replay(f, cert) == cert.reduced
         assert cert.type == at_ceiling.type
         assert cert.reduced == at_ceiling.reduced.truncate(degree)
-    assert _divisors(analyze(f, FAST)) == _divisors(
-        analyze(f, AnalyzeOptions(truncation=ceiling, face_samples=500, scan_primes=(241,)))
+    assert _divisors(analyze(f)) == _divisors(
+        analyze(f, AnalyzeOptions(truncation=ceiling))
     )
 
 
@@ -106,9 +104,9 @@ def test_s_max_just_above_the_bound_does_not_certify():
 
 def test_uncertified_truncation_warns():
     f = parse_polynomial("x^2 + y^3 + z^5 + t^15")
-    result = analyze(f, AnalyzeOptions(truncation=19, face_samples=500, scan_primes=(241,)))
+    result = analyze(f, AnalyzeOptions(truncation=19))
     assert any("not certified" in warning for warning in result.warnings)
-    assert not any("not certified" in warning for warning in analyze(f, FAST).warnings)
+    assert not any("not certified" in warning for warning in analyze(f).warnings)
 
 
 def test_explicit_truncation_reduces_there_only(monkeypatch):
