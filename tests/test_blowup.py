@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -103,6 +104,27 @@ class TestEnumerate:
                 rhs = [sum(v) - 2 for v in d.vertices]
                 assert _coordinate_maxima(rows, rhs) == lp_vertex_maxima(rows, rhs)
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_exponent_one_germs_match_a_literal_scan(self, seed):
+        # Vertices x * (y, z, t-monomial) have exponent 1 on the longest axis
+        # of the box, where the line scan lists a whole interval instead of
+        # its end points.
+        d = build_diagram(_random_exponent_one_germ(random.Random(seed)))
+        expected = literal_scan(d.vertices, oracle_bound(d.vertices))
+        assert [w.w for w in enumerate_weights(d)] == expected, d.vertices
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(4))), ids=str)
+    def test_permuting_the_variables_permutes_the_weights(self, perm):
+        # Each permutation puts the longest axis of the box on another
+        # coordinate, so every choice of the scan direction is exercised.
+        for text in ["x^2 + y^3 + z^5 + t^7 + x*t^3 + y*z^3", "x*y + z^3 + t^4 + x*z*t"]:
+            f = P(text)
+            moved = Polynomial({tuple(e[i] for i in perm): c for e, c in f.items()})
+            expected = sorted(
+                tuple(w.w[i] for i in perm) for w in enumerate_weights(build_diagram(f))
+            )
+            assert [w.w for w in enumerate_weights(build_diagram(moved))] == expected
+
     def test_non_isolated_supports_are_unbounded(self):
         rng = random.Random(7)
         supports = [[(2, 0, 0, 0), (0, 2, 1, 0)]]
@@ -125,6 +147,24 @@ def _random_bounded_germ(rng: random.Random) -> Polynomial:
     exps = [(2, 0, 0, 0), (0, rng.randint(2, 3), 0, 0)]
     exps += [(0, 0, rng.randint(2, 5), 0), (0, 0, 0, rng.randint(2, 8))]
     exps += [_random_yzt_monomial(rng, 0) for _ in range(rng.randint(2, 4))]
+    return Polynomial({e: Fraction(1) for e in exps})
+
+
+def _random_exponent_one_germ(rng: random.Random) -> Polynomial:
+    """y^a, z^b, t^c, often x^2, and 1..3 monomials x * (y, z, t-monomial).
+
+    Total degrees stay at most 5, so the literal scan's box has at most 24^4
+    points.
+    """
+    exps = [(0, rng.randint(2, 3), 0, 0), (0, 0, rng.randint(2, 4), 0)]
+    exps.append((0, 0, 0, rng.randint(3, 5)))
+    if rng.random() < 0.7:
+        exps.append((2, 0, 0, 0))
+    for _ in range(rng.randint(1, 3)):
+        e = [1, 0, 0, 0]
+        for _ in range(rng.randint(1, 4)):
+            e[rng.randint(1, 3)] += 1
+        exps.append(tuple(e))
     return Polynomial({e: Fraction(1) for e in exps})
 
 

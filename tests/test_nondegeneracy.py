@@ -227,6 +227,40 @@ def test_verdict_agrees_with_groebner(label, g):
     check_agrees(g)
 
 
+def small_variable_cases():
+    """Seeded polynomials in z alone or in z, t, not all quasi-homogeneous.
+
+    Squared binomials times a unit, isolated singular points planted at
+    integer points, squares of z - a times a unit in z, and sparse random
+    polynomials, most of them non-singular.
+    """
+    rng = random.Random(11)
+    cases = []
+    for _ in range(4):
+        a, b = rng.randint(2, 60), rng.randint(2, 60)
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        unit = P(f"{rng.randint(1, 9)} + {rng.randint(1, 9)}*z*t + t^2")
+        cases.append(P(f"{b ** n}*z^{m} - {a ** m}*t^{n}") ** 2 * unit)
+        cases.append(P(f"z - {a}") ** 2 + P(f"{rng.randint(1, 9)}*z") * P(f"t - {b}") ** 2)
+        cases.append(P(f"z - {a}") ** 2 * P(f"z^{rng.randint(1, 4)} + {rng.randint(1, 9)}"))
+    for _ in range(6):
+        k = rng.randint(1, 2)
+        g = Polynomial.zero()
+        for _ in range(rng.randint(3, 5)):
+            exps = (0, 0) + tuple(rng.randint(0, 6) for _ in range(k)) + (0,) * (2 - k)
+            coeff = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+            g = g + Polynomial.monomial(exps, coeff)
+        cases.append(g)
+    cases += [P("z^3 + t^3 + 1 + z*t"), P("z^2 + t^2 + 1"), P("z^5 + z + 1/3")]
+    cases.append(P("z - 3*t") ** 2 * P("1 + z"))
+    return cases
+
+
+@pytest.mark.parametrize("g", small_variable_cases(), ids=str)
+def test_small_variable_cases_agree_with_groebner(g):
+    check_agrees(g)
+
+
 def test_case_set_covers_the_claimed_shapes():
     dims = {}
     for _label, g in CASES:
@@ -250,6 +284,23 @@ def test_repeated_factor_without_a_witness_stays_degenerate():
     assert verdict.status == DEGENERATE
     assert verdict.witness is None
     assert "repeated factor z^2 - 2" in verdict.detail
+
+
+@pytest.mark.parametrize("root", ["2", "-3", "1/4", "-5/3", "7/2", "9/8"])
+@pytest.mark.parametrize("content", ["1", "x^2*y"])
+def test_witness_is_the_rational_root_of_the_square(root, content):
+    # (z - r t)^2 (z + 7t) times monomial content: the slice keeps z and sets
+    # the other present variables to 1, so the witness sits at z = r.
+    r = Fraction(root)
+    linear = P(f"{r.denominator}*z") - P("t").scale(Fraction(r.numerator))
+    g = P(content) * linear**2 * P("z + 7*t")
+    verdict = singular_torus_search(g)
+    assert verdict.status == DEGENERATE
+    assert verdict.witness is not None
+    assert_singular_torus_point(g, verdict.witness)
+    expected = {name: Fraction(1) for name in g.variables_present()}
+    expected["z"] = r
+    assert dict(zip(verdict.witness.variables, verdict.witness.point)) == expected
 
 
 def test_dimension_3_is_undecided():
