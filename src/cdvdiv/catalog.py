@@ -21,6 +21,12 @@ integer scan.  Three layers of conditions apply:
      of the certified catalog and reported as scan surplus by
      catalog_correspondence; see that function.
 
+The scan visits only the weights inside the bounds that every branch of
+the intercept conditions implies (see _scan_bounds), and only the levels
+m up to the largest one those bounds allow (see _default_bound): 12, 18
+and 30 for cE6, cE7 and cE8, and 2(n-1) for cD_n.  The conditions stay
+the exact filter, so the bounds only skip weights that would fail them.
+
 candidate_weights is the input-independent catalog of weights that can
 carry the non-rational discrepancy-1 divisor, per type.
 """
@@ -165,9 +171,12 @@ def _allowed_families(kind: str, n: Optional[int]):
     return fixed, t_families, z_pure_min
 
 
-def _face_viable(kind: str, n: Optional[int], m: int, w) -> bool:
-    """Can a dimension >= 2 face of a genuine normal form lie on L?"""
-    fixed, t_families, z_pure_min = _allowed_families(kind, n)
+def _face_viable(families, m: int, w) -> bool:
+    """Can a dimension >= 2 face of a genuine normal form lie on L?
+
+    families is _allowed_families of the type.
+    """
+    fixed, t_families, z_pure_min = families
     points = [p for p in fixed if sum(a * b for a, b in zip(w, p)) == m]
     for y_exp, z_exp, d_min in t_families:
         base = w[1] * y_exp + w[2] * z_exp
@@ -199,60 +208,110 @@ CE8_SCAN_SURPLUS: Tuple[Tuple[int, int, int, int], ...] = (
 )
 
 
-def _scan(kind: SingularityType, bound: int) -> List[Quadruple]:
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _scan_bounds(kind: SingularityType, m: int):
+    """(least w2, rows (a, b) with a*w2 + b*w3 >= m, largest w3) at level m.
+
+    Every branch of each type's intercept conditions implies these, and
+    2*w1 >= m for all types:
+      cE6: 3*w2 >= m, 4*w3 >= m;
+      cE7: 3*w2 >= m, w2 + 3*w3 >= m (b = 3 with 9*w3 >= 2m implies it);
+      cE8: 3*w2 >= m, 5*w3 >= m;
+      cD_n: 2*w2 + w3 >= m, (n-1)*w3 >= m, and w3 <= 2 (_default_bound),
+            so also 2*w2 >= m - 2.
+    """
+    if kind.kind == "cD":
+        return max(1, _ceil_div(m - 2, 2)), ((2, 1), (0, kind.n - 1)), 2
+    rows = {"cE6": ((0, 4),), "cE7": ((1, 3),), "cE8": ((0, 5),)}
+    return _ceil_div(m, 3), rows[kind.kind], m
+
+
+def _scan(kind: SingularityType, bound: Optional[int] = None) -> List[Tuple[int, Tuple]]:
+    """(m, w) for every primitive w with sum(w) = m + 2 passing the checks.
+
+    m runs up to the proved bound, or to bound when that is smaller; the
+    order is lexicographic in (m, w).
+    """
+    top = _default_bound(kind)
+    if bound:
+        top = min(bound, top)
+    families = None
     if kind.kind == "cD":
         check = lambda m, w: _conditions_cd(kind.n, m, w)  # noqa: E731
-    elif kind.kind == "cE6":
-        check = _conditions_ce6
-    elif kind.kind == "cE7":
-        check = _conditions_ce7
-    elif kind.kind == "cE8":
-        check = _conditions_ce8
     else:
-        raise ValueError(f"no quadruple catalog for type {kind.label()}")
+        check = {"cE6": _conditions_ce6, "cE7": _conditions_ce7, "cE8": _conditions_ce8}[kind.kind]
+        families = _allowed_families(kind.kind, kind.n)
     results = []
-    for m in range(2, bound + 1):
+    for m in range(2, top + 1):
         total = m + 2
-        for w1 in range(1, total - 2):
-            for w2 in range(1, total - w1 - 1):
-                for w3 in range(1, total - w1 - w2):
+        low2, rows, high3 = _scan_bounds(kind, m)
+        # w3 >= 1 and w4 = total - w1 - w2 - w3 >= 1
+        for w1 in range(_ceil_div(m, 2), total - low2 - 1):
+            for w2 in range(low2, total - w1 - 1):
+                low3 = max(1, *(_ceil_div(m - a * w2, b) for a, b in rows))
+                for w3 in range(low3, min(high3 + 1, total - w1 - w2)):
                     w4 = total - w1 - w2 - w3
                     w = (w1, w2, w3, w4)
                     if gcd(gcd(w1, w2), gcd(w3, w4)) != 1:
                         continue
                     if not check(m, w):
                         continue
-                    if kind.kind != "cD" and not _face_viable(
-                        kind.kind, kind.n, m, w
-                    ):
+                    if families is not None and not _face_viable(families, m, w):
                         continue
                     results.append((m, w))
     return results
 
 
 def _default_bound(kind: SingularityType) -> int:
+    """The largest level m that the scan bounds allow for the type.
+
+    With w4 >= 1, w1 + w2 + w3 <= m + 1, and the lower bounds of
+    _scan_bounds give
+      cE6: m/2 + m/3 + m/4 = 13m/12 <= m + 1, so m <= 12;
+      cE7: w2 + w3 >= w2 + (m - w2)/3 >= m/3 + 2m/9 with 3*w2 >= m, so
+           m/2 + 5m/9 = 19m/18 <= m + 1 and m <= 18;
+      cE8: m/2 + m/3 + m/5 = 31m/30 <= m + 1, so m <= 30;
+      cD_n: w1 + w2 + w3 >= m/2 + (m - w3)/2 + w3 = m + w3/2, so w3 <= 2,
+            and (n-1)*w3 >= m gives m <= 2(n-1).
+    These are the largest m in the paper's lists.
+    """
     if kind.kind == "cD":
-        return max(32, 2 * kind.n)
-    return 32
+        return 2 * (kind.n - 1)
+    bounds = {"cE6": 12, "cE7": 18, "cE8": 30}
+    if kind.kind not in bounds:
+        raise ValueError(f"no quadruple catalog for type {kind.label()}")
+    return bounds[kind.kind]
+
+
+def _certified_and_surplus(kind: SingularityType, bound: Optional[int]):
+    """One scan, split into the certified quadruples, sorted by (m,
+    intercepts), and the pinned cE8 surplus (m, w) pairs in scan order."""
+    pinned = CE8_SCAN_SURPLUS if kind.kind == "cE8" else ()
+    certified, surplus = [], []
+    for m, w in _scan(kind, bound):
+        if w in pinned:
+            surplus.append((m, w))
+        else:
+            certified.append(_quadruple(m, w))
+    certified.sort(key=lambda q: (q.m, q.intercepts))
+    return certified, surplus
 
 
 def lemma_quadruples(kind: SingularityType, bound: Optional[int] = None) -> List[Quadruple]:
     """All certified intercept quadruples for the type.
 
-    Exact integer scan over primitive weights with m up to the bound
-    (default 32, covering the largest in-scope case m = 30 with margin; for
-    cD the bound grows with n), filtered by the intercept conditions and the
-    face-viability requirement, minus the pinned cE8 scan surplus.
-    Deduplicated and sorted by (m, intercepts).
+    Exact integer scan over primitive weights with m up to the proved bound
+    of _default_bound (12, 18, 30 for cE6, cE7, cE8 and 2(n-1) for cD_n),
+    or up to bound when that is smaller, filtered by the intercept
+    conditions and the face-viability requirement, minus the pinned cE8
+    scan surplus.  The loops run only inside the bounds of _scan_bounds:
+    2*w1 >= m, and per type the lower bounds on w2 and w3 that every branch
+    of its conditions implies.  Deduplicated and sorted by (m, intercepts).
     """
-    surplus = set(CE8_SCAN_SURPLUS) if kind.kind == "cE8" else set()
-    quads = [
-        _quadruple(m, w)
-        for m, w in _scan(kind, bound or _default_bound(kind))
-        if w not in surplus
-    ]
-    quads.sort(key=lambda q: (q.m, q.intercepts))
-    return quads
+    return _certified_and_surplus(kind, bound)[0]
 
 
 def candidate_weights(kind: SingularityType) -> List[Weight]:
@@ -311,8 +370,9 @@ def catalog_correspondence(
     "scan_surplus" so that nothing the scan finds is silently dropped.
     """
     catalog = {w.w for w in candidate_weights(kind)}
+    certified, surplus = _certified_and_surplus(kind, bound)
     entries = []
-    for quad in lemma_quadruples(kind, bound):
+    for quad in certified:
         weight = quad.derived_weight()
         if weight.w in catalog:
             status, note = "matched", ""
@@ -333,19 +393,17 @@ def catalog_correspondence(
         entries.append(
             CorrespondenceEntry(quadruple=quad, weight=weight, status=status, note=note)
         )
-    if kind.kind == "cE8":
-        for m, w in _scan(kind, bound or _default_bound(kind)):
-            if w in CE8_SCAN_SURPLUS:
-                entries.append(
-                    CorrespondenceEntry(
-                        quadruple=_quadruple(m, w),
-                        weight=Weight(w),
-                        status="scan_surplus",
-                        note=(
-                            "viable scan solution outside the certified "
-                            "catalog; special exponent choices realize it, "
-                            "and the pipeline reports it when it occurs"
-                        ),
-                    )
-                )
+    for m, w in surplus:
+        entries.append(
+            CorrespondenceEntry(
+                quadruple=_quadruple(m, w),
+                weight=Weight(w),
+                status="scan_surplus",
+                note=(
+                    "viable scan solution outside the certified "
+                    "catalog; special exponent choices realize it, "
+                    "and the pipeline reports it when it occurs"
+                ),
+            )
+        )
     return entries

@@ -319,6 +319,7 @@ def _cmd_corpus(config: RunConfig) -> Dict[str, Any]:
             "exact_witness": result.degenerate_exact_witness,
             "no_exact_witness": result.degenerate_no_exact_witness,
         },
+        "catalog_disagreements": result.catalog_disagreements,
     }
 
 
@@ -416,6 +417,7 @@ def _render_text(command: str, doc: Dict[str, Any], out) -> None:
             f"{degenerate['exact_witness']} with an exact witness, "
             f"{degenerate['no_exact_witness']} without\n"
         )
+        out.write(f"catalog disagreements: {doc['catalog_disagreements']}\n")
         for failure in doc["genus_failures"] + doc["classification_failures"]:
             out.write(f"failure: {failure}\n")
         out.write("ok\n" if doc["ok"] else "FAILED\n")

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from cdvdiv.lp import minimal_points
@@ -436,7 +436,7 @@ def _exact_test(g: Polynomial, terms, names) -> FaceVerdict:
             DEGENERATE,
             f"exact (dimension 1): h({kept[0]}) = {slice_text} has the repeated "
             f"factor {pretty(factor)}",
-            _repeated_root_witness(g, names, axis, factor),
+            _repeated_root_witness(g, names, axis, common),
         )
     if len(K) == 2:
         # Resultants in the variable of lower degree keep the matrices small.
@@ -460,32 +460,43 @@ def _exact_test(g: Polynomial, terms, names) -> FaceVerdict:
 
 
 def _repeated_root_witness(
-    g: Polynomial, names: Sequence[str], axis: int, factor: Polynomial
+    g: Polynomial, names: Sequence[str], axis: int, common: List[int]
 ) -> TorusWitness | None:
     """A singular torus point of g at a rational root of the repeated factor.
 
-    factor divides gcd(h, h') in the variable VARS[axis]; a root of it is a
-    singular point of h, and so of g on the slice where every other present
-    variable is 1 (`_torus_slice`).  The roots come from the linear factors
-    over Q; without one there is no witness.
+    common (integer coefficients, lowest degree first) divides gcd(h, h') in
+    the variable VARS[axis]; a root of it is a singular point of h, and so
+    of g on the slice where every other present variable is 1
+    (`_torus_slice`).  A nonzero rational root p/q in lowest terms has p
+    dividing the lowest nonzero coefficient and q the leading one; without
+    such a root there is no witness.  Finding the divisors by trial division
+    takes time in the square roots of those two coefficients.
     """
-    # factorize imports this module, so the import waits for the first call.
-    from cdvdiv.factorize import rational_factors
+    low = next(c for c in common if c)
+    candidates = (
+        Fraction(sign * p, q)
+        for q in _divisors(common[-1])
+        for p in _divisors(low)
+        for sign in (1, -1)
+    )
+    root = next((r for r in candidates if not sum(c * r**i for i, c in enumerate(common))), None)
+    if root is None:
+        return None
+    full = [Fraction(1)] * 4
+    full[axis] = root
+    if g.evaluate(full) != 0 or any(
+        g.derivative(i).evaluate(full) for i in range(4) if VARS[i] in names
+    ):
+        raise AssertionError(f"{VARS[axis]} = {root} is no singular torus point of g")
+    point = tuple(full[VARS.index(n)] for n in names)
+    return TorusWitness(variables=tuple(names), point=point)
 
-    unit = tuple(int(i == axis) for i in range(4))
-    for linear, _mult in rational_factors(factor)[1]:
-        if linear.degree() != 1:
-            continue
-        root = -linear.coefficient((0, 0, 0, 0)) / linear.coefficient(unit)
-        full = [Fraction(1)] * 4
-        full[axis] = root
-        if root == 0 or g.evaluate(full) != 0 or any(
-            g.derivative(i).evaluate(full) for i in range(4) if VARS[i] in names
-        ):
-            raise AssertionError(f"{VARS[axis]} = {root} is no singular torus point of g")
-        point = tuple(full[VARS.index(n)] for n in names)
-        return TorusWitness(variables=tuple(names), point=point)
-    return None
+
+def _divisors(n: int) -> List[int]:
+    """The positive divisors of n != 0 in increasing order."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _resultant_roots(h: Dict[Tuple[int, int], int]) -> Tuple[List[int], List[int]]:

@@ -29,6 +29,7 @@ from cdvdiv.blowup import (
     enumerate_weights,
     exceptional_surface,
 )
+from cdvdiv.catalog import candidate_weights
 from cdvdiv.curvegeom import (
     NON_RATIONAL,
     RATIONAL,
@@ -369,6 +370,9 @@ class CorpusResult:
 
     undecided_verdicts counts face and chart checks that no exact test
     settled; degenerate verdicts are split by whether they carry a witness.
+    catalog_disagreements counts non-rational discrepancy-1 components whose
+    weight is not in candidate_weights of the classified type; it is
+    reported, not part of ok.
     """
 
     instances: int = 0
@@ -380,6 +384,7 @@ class CorpusResult:
     undecided_components: int = 0
     degenerate_exact_witness: int = 0
     degenerate_no_exact_witness: int = 0
+    catalog_disagreements: int = 0
 
     def count_verdicts(self, analysis: "AnalysisResult") -> None:
         """Add the face and chart verdicts and undecided components of one analysis."""
@@ -398,6 +403,16 @@ class CorpusResult:
                     self.degenerate_exact_witness += 1
                 else:
                     self.degenerate_no_exact_witness += 1
+
+    def count_catalog_disagreements(self, analysis: "AnalysisResult") -> None:
+        """Add the non-rational discrepancy-1 components outside the catalog."""
+        kind = analysis.classification
+        if kind.kind not in ("cD", "cE6", "cE7", "cE8"):
+            return
+        catalog = {w.w for w in candidate_weights(kind)}
+        self.catalog_disagreements += sum(
+            report.weight.w not in catalog for report in analysis.non_rational_reports()
+        )
 
     @property
     def ok(self) -> bool:
@@ -418,6 +433,7 @@ def run_corpus(seed: int = 0, options: Optional[AnalyzeOptions] = None) -> Corpu
         analysis = analyze(instance.polynomial, options)
         result.instances += 1
         result.count_verdicts(analysis)
+        result.count_catalog_disagreements(analysis)
         count = analysis.non_rational_count
         result.max_non_rational = max(result.max_non_rational, count)
         if analysis.uniqueness_violation:

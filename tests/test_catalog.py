@@ -1,9 +1,19 @@
+import time
 from fractions import Fraction as F
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
 from cdvdiv.catalog import (
     CE8_SCAN_SURPLUS,
+    _allowed_families,
+    _conditions_cd,
+    _conditions_ce6,
+    _conditions_ce7,
+    _conditions_ce8,
+    _default_bound,
+    _scan,
     catalog_correspondence,
     candidate_weights,
     lemma_quadruples,
@@ -140,3 +150,108 @@ class TestCorrespondence:
         assert len(catalog_entries) == 9
         surplus = [e for e in entries if e.status == "scan_surplus"]
         assert {e.weight.w for e in surplus} == set(CE8_SCAN_SURPLUS)
+
+
+# -- oracle: the four-loop literal scan over every primitive weight ----------
+#
+# A verbatim copy of the scan as it stood before the loops were bounded by
+# the intercept conditions, and of the face-viability test it called.  It
+# shares only the per-type condition checks and the family table with the
+# module, never the loop bounds under test.
+
+
+def literal_face_viable(kind, n, m, w):
+    fixed, t_families, z_pure_min = _allowed_families(kind, n)
+    points = [p for p in fixed if sum(a * b for a, b in zip(w, p)) == m]
+    for y_exp, z_exp, d_min in t_families:
+        base = w[1] * y_exp + w[2] * z_exp
+        rest = m - base
+        if rest >= d_min * w[3] and rest % w[3] == 0:
+            points.append((0, y_exp, z_exp, rest // w[3]))
+    if z_pure_min is not None and m % w[2] == 0 and m // w[2] >= z_pure_min:
+        points.append((0, 0, m // w[2], 0))
+    if len(points) < 3:
+        return False
+    base = points[0]
+    rows = [tuple(p[i] - base[i] for i in range(4)) for p in points[1:]]
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            for c1 in range(4):
+                for c2 in range(c1 + 1, 4):
+                    if rows[i][c1] * rows[j][c2] - rows[i][c2] * rows[j][c1] != 0:
+                        return True
+    return False
+
+
+@lru_cache(maxsize=None)
+def literal_scan(kind, bound):
+    if kind.kind == "cD":
+        check = lambda m, w: _conditions_cd(kind.n, m, w)  # noqa: E731
+    elif kind.kind == "cE6":
+        check = _conditions_ce6
+    elif kind.kind == "cE7":
+        check = _conditions_ce7
+    elif kind.kind == "cE8":
+        check = _conditions_ce8
+    else:
+        raise ValueError(f"no quadruple catalog for type {kind.label()}")
+    results = []
+    for m in range(2, bound + 1):
+        total = m + 2
+        for w1 in range(1, total - 2):
+            for w2 in range(1, total - w1 - 1):
+                for w3 in range(1, total - w1 - w2):
+                    w4 = total - w1 - w2 - w3
+                    w = (w1, w2, w3, w4)
+                    if gcd(gcd(w1, w2), gcd(w3, w4)) != 1:
+                        continue
+                    if not check(m, w):
+                        continue
+                    if kind.kind != "cD" and not literal_face_viable(
+                        kind.kind, kind.n, m, w
+                    ):
+                        continue
+                    results.append((m, w))
+    return tuple(results)
+
+
+PROVED_BOUND = {"cE6": 12, "cE7": 18, "cE8": 30}
+
+
+class TestScanOracle:
+    @pytest.mark.parametrize("n", range(4, 31))
+    def test_cd_matches_literal_scan(self, n):
+        kind = SingularityType("cD", n)
+        bound = max(32, 2 * n)
+        assert list(_scan(kind, bound)) == list(literal_scan(kind, bound))
+
+    @pytest.mark.parametrize("bound", [10, 32, 64])
+    @pytest.mark.parametrize("kind", ["cE6", "cE7", "cE8"])
+    def test_ce_matches_literal_scan(self, kind, bound):
+        kind = SingularityType(kind)
+        assert list(_scan(kind, bound)) == list(literal_scan(kind, bound))
+
+    @pytest.mark.parametrize("kind", ["cE6", "cE7", "cE8"])
+    def test_ce_default_bound_is_proved(self, kind):
+        kind = SingularityType(kind)
+        bound = PROVED_BOUND[kind.kind]
+        assert _default_bound(kind) == bound
+        found = literal_scan(kind, 64)
+        assert max(m for m, _w in found) == bound
+        assert literal_scan(kind, bound) == found
+
+    @pytest.mark.parametrize("n", [4, 5, 12, 30])
+    def test_cd_default_bound_is_proved(self, n):
+        kind = SingularityType("cD", n)
+        bound = 2 * (n - 1)
+        assert _default_bound(kind) == bound
+        found = literal_scan(kind, 64)
+        assert max(m for m, _w in found) == bound
+        assert literal_scan(kind, bound) == found
+
+    def test_cd_200_is_fast(self):
+        start = time.perf_counter()
+        quads = lemma_quadruples(SingularityType("cD", 200))
+        elapsed = time.perf_counter() - start
+        assert {q.intercepts for q in quads} == cd_families(200)
+        assert elapsed < 5.0

@@ -150,6 +150,7 @@ def test_corpus_reports_verdict_counts(monkeypatch):
         undecided_components=5,
         degenerate_exact_witness=6,
         degenerate_no_exact_witness=7,
+        catalog_disagreements=8,
     )
     monkeypatch.setattr(cli, "run_corpus", lambda seed: counted)
     status, out, _err = run_config(RunConfig(command="corpus", output_format="structured"))
@@ -158,9 +159,12 @@ def test_corpus_reports_verdict_counts(monkeypatch):
     assert doc["undecided_verdicts"] == 4
     assert doc["undecided_components"] == 5
     assert doc["degenerate_verdicts"] == {"exact_witness": 6, "no_exact_witness": 7}
+    assert doc["catalog_disagreements"] == 8
+    assert doc["ok"]
     status, out, _err = run_config(RunConfig(command="corpus"))
     assert "undecided verdicts: 4, undecided components: 5" in out
     assert "degenerate verdicts: 6 with an exact witness, 7 without" in out
+    assert "catalog disagreements: 8\n" in out
 
 
 class TestMainEntry:

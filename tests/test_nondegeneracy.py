@@ -355,3 +355,30 @@ def test_diagram_loads_no_further_module(tmp_path):
     assert sympy_loaded == "False"
     new_modules = eval(new)
     assert all(name.split(".")[0] in sys.stdlib_module_names for name in new_modules), new_modules
+
+
+def test_repeated_root_witness_loads_no_sympy():
+    # 256z^4 - 96z^2t^2 + 32zt^3 - 3t^4 = (4z - t)^3 (4z + 3t): the repeated
+    # factor 16z^2 - 8z + 1 of h(z) = g at t = 1 has the rational root 1/4.
+    code = (
+        "import sys\n"
+        "from cdvdiv.newton import singular_torus_search\n"
+        "from cdvdiv.poly import parse_polynomial\n"
+        "g = parse_polynomial('256*z^4 - 96*z^2*t^2 + 32*z*t^3 - 3*t^4')\n"
+        "verdict = singular_torus_search(g)\n"
+        "print(verdict.status)\n"
+        "print(dict(zip(verdict.witness.variables, map(str, verdict.witness.point))))\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    status, point, sympy_loaded = out.stdout.strip().splitlines()
+    assert status == DEGENERATE
+    assert eval(point) == {"z": "1/4", "t": "1"}
+    assert sympy_loaded == "False"

@@ -178,6 +178,24 @@ class TestCorpus:
         assert result.undecided_components == 0
         assert result.degenerate_exact_witness == result.degenerate_no_exact_witness == 0
 
+    def test_seed_0_catalog_disagreements(self):
+        # cE7 offset 1 draw 0..2 each carry a genus-1 component at (3,2,2,1),
+        # a weight outside the cE7 catalog; the count is reported, not in ok.
+        result = run_corpus(seed=0)
+        assert result.catalog_disagreements == 3
+        assert result.ok
+        one = CorpusResult()
+        cE7 = next(i for i in generate_corpus(seed=0) if i.label == "cE7 offset 1 draw 0")
+        analysis = analyze(cE7.polynomial, AnalyzeOptions(check_faces=False))
+        one.count_catalog_disagreements(analysis)
+        assert one.catalog_disagreements == 1
+        assert [r.weight.w for r in analysis.non_rational_reports()] == [(3, 2, 2, 1)]
+
+    def test_catalog_disagreements_need_a_catalog(self):
+        result = CorpusResult()
+        result.count_catalog_disagreements(analyze_text("x^2 + y^2 + z^2 + t^5"))
+        assert result.catalog_disagreements == 0
+
     def test_verdict_counts_of_one_analysis(self):
         # The chart edge 256z^4 - 96z^2 + 32z - 3 = (4z - 1)^3 (4z + 3) is
         # degenerate; its singular point z = 1/4 is an exact witness.
