@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import floor, gcd, lcm
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from cdvdiv.lp import minimal_points
@@ -467,19 +467,9 @@ def _repeated_root_witness(
     common (integer coefficients, lowest degree first) divides gcd(h, h') in
     the variable VARS[axis]; a root of it is a singular point of h, and so
     of g on the slice where every other present variable is 1
-    (`_torus_slice`).  A nonzero rational root p/q in lowest terms has p
-    dividing the lowest nonzero coefficient and q the leading one; without
-    such a root there is no witness.  Finding the divisors by trial division
-    takes time in the square roots of those two coefficients.
+    (`_torus_slice`).  Without a rational root there is no witness.
     """
-    low = next(c for c in common if c)
-    candidates = (
-        Fraction(sign * p, q)
-        for q in _divisors(common[-1])
-        for p in _divisors(low)
-        for sign in (1, -1)
-    )
-    root = next((r for r in candidates if not sum(c * r**i for i, c in enumerate(common))), None)
+    root = _rational_root(common)
     if root is None:
         return None
     full = [Fraction(1)] * 4
@@ -492,11 +482,63 @@ def _repeated_root_witness(
     return TorusWitness(variables=tuple(names), point=point)
 
 
-def _divisors(n: int) -> List[int]:
-    """The positive divisors of n != 0 in increasing order."""
-    n = abs(n)
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+def _rational_root(p: List[int]) -> Fraction | None:
+    """A rational root of p in Z[u] (lowest degree first, p(0) != 0 and a
+    positive leading coefficient l), or None when it has none.
+
+    A root a/b in lowest terms has b dividing l, so l times it is an
+    integer.  Sturm's theorem counts the distinct real roots of p between
+    two points that are not roots (the chain p, p', -rem, ... may end in
+    gcd(p, p') rather than a constant).  Bisecting (-B, B), B a root bound,
+    down to intervals narrower than 1/l leaves at most one candidate
+    k/l in each interval that holds a root; a midpoint that is a root is
+    returned at once, so no end point is ever a root.  The depth is the bit
+    length of B*l, so no coefficient is ever factored.
+    """
+    chain = [p, _derivative(p)]
+    while len(chain[-1]) > 1:
+        b = chain[-1]
+        # a positive leading coefficient makes the pseudo-remainder a
+        # positive multiple of the remainder, which keeps Sturm's signs
+        rest = _pseudo_remainder(chain[-2], b if b[-1] > 0 else [-c for c in b])
+        if not rest:
+            break
+        chain.append([-c for c in _primitive(rest)])
+
+    def value(q: List[int], x: Fraction) -> int:
+        """q(x) times a positive power of x's denominator, in integers."""
+        total, power = 0, 1
+        for c in reversed(q):
+            total = total * x.numerator + c * power
+            power *= x.denominator
+        return total
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (value(q, x) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # Fujiwara: every root has |u| <= 2 max_j |p_j/l|^(1/(d-j)).  A power of
+    # two strictly above each term keeps B exact and away from the roots.
+    lead, degree = p[-1], len(p) - 1
+    bound = 1
+    for j, c in enumerate(p[:-1]):
+        bits = (-(-abs(c) // lead)).bit_length()
+        bound = max(bound, 2 << -(-bits // (degree - j)))
+    intervals = [(Fraction(-bound), Fraction(bound))]
+    while intervals:
+        lo, hi = intervals.pop()
+        if variations(lo) == variations(hi):
+            continue
+        if (hi - lo) * lead < 1:
+            candidate = Fraction(floor(hi * lead), lead)
+            if candidate > lo and not value(p, candidate):
+                return candidate
+            continue
+        mid = (lo + hi) / 2
+        if not value(p, mid):
+            return mid
+        intervals += [(lo, mid), (mid, hi)]
+    return None
 
 
 def _resultant_roots(h: Dict[Tuple[int, int], int]) -> Tuple[List[int], List[int]]:

@@ -29,6 +29,7 @@ from cdvdiv.newton import (
     NONDEGENERATE_CERTIFIED,
     UNDECIDED,
     _affine_rank,
+    _rational_root,
     build_diagram,
     singular_torus_search,
 )
@@ -286,7 +287,9 @@ def test_repeated_factor_without_a_witness_stays_degenerate():
     assert "repeated factor z^2 - 2" in verdict.detail
 
 
-@pytest.mark.parametrize("root", ["2", "-3", "1/4", "-5/3", "7/2", "9/8"])
+@pytest.mark.parametrize(
+    "root", ["2", "-3", "1/4", "-5/3", "7/2", "9/8", "-100000000000000000000000000000001/3"]
+)
 @pytest.mark.parametrize("content", ["1", "x^2*y"])
 def test_witness_is_the_rational_root_of_the_square(root, content):
     # (z - r t)^2 (z + 7t) times monomial content: the slice keeps z and sets
@@ -301,6 +304,44 @@ def test_witness_is_the_rational_root_of_the_square(root, content):
     expected = {name: Fraction(1) for name in g.variables_present()}
     expected["z"] = r
     assert dict(zip(verdict.witness.variables, verdict.witness.point)) == expected
+
+
+def rational_root_cases(count=200, seed=5):
+    """Seeded integer polynomials in u with p(0) != 0: products of powers of
+    linear factors (some with 12-digit roots) and of quadratics."""
+    rng = random.Random(seed)
+    u = sympy.Symbol("u")
+    cases = []
+    while len(cases) < count:
+        f = sympy.Poly(rng.choice([1, 2, -3]), u)
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                a = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 12))
+                f *= sympy.Poly(rng.randint(1, 30) * u - a, u) ** rng.randint(1, 3)
+            else:
+                c = rng.choice([2, 3, 5, 7, -2, -3, 11])
+                f *= sympy.Poly(u**2 + rng.randint(-20, 20) * u + c, u) ** rng.randint(1, 2)
+        if f.eval(0) != 0:
+            cases.append(f)
+    return cases
+
+
+def test_rational_root_agrees_with_sympy():
+    # The roots of the linear factors over Q are all the rational roots.
+    without = 0
+    for poly in rational_root_cases():
+        coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+        content = sympy.igcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+        coeffs = [c // content for c in coeffs]
+        roots = {
+            Fraction(-int(factor.nth(0)), int(factor.nth(1)))
+            for factor, _mult in poly.factor_list()[1]
+            if factor.degree() == 1
+        }
+        got = _rational_root(coeffs)
+        assert got in roots if roots else got is None, (poly, roots, got)
+        without += not roots
+    assert 0 < without < 200
 
 
 def test_dimension_3_is_undecided():
