@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,16 +9,22 @@ import sympy
 from cdvdiv import newton
 from cdvdiv.lp import minimal_points
 from cdvdiv.newton import (
+    AXES,
     DEGENERATE,
     NONDEGENERATE_CERTIFIED,
+    Face,
     _affine_rank,
+    _cross4,
+    _dot,
+    _primitive,
     build_diagram,
     check_nondegeneracy,
     face_polynomial,
     singular_torus_search,
     support_value,
 )
-from cdvdiv.poly import Polynomial, parse_polynomial
+from cdvdiv.pipeline import generate_corpus
+from cdvdiv.poly import Polynomial, grlex_key, parse_polynomial
 
 EXAMPLE_CD4 = parse_polynomial("x^2 + y^2*z + z^3 + t^3")
 EXAMPLE_CE8 = parse_polynomial("x^2 + y^3 + z^5 + t^15")
@@ -118,6 +125,143 @@ class TestMinimalPointFilter:
         d = build_diagram(f)
         assert set(d.vertices) == {(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 4, 0), (0, 0, 0, 5)}
         assert all((3, 1, 0, 0) not in face.lattice_points for face in d.faces)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the earlier facet orientation and work-list intersection closure
+# ---------------------------------------------------------------------------
+
+
+def oracle_facets(support):
+    """Facets of conv(support) + R^4_{>=0}, oriented by their lo/hi values."""
+    facets = {}
+    pts = list(support)
+    n = len(pts)
+    for r in range(4):  # r + 1 spanning points, 3 - r spanning rays
+        for T in itertools.combinations(range(n), r + 1):
+            base = pts[T[0]]
+            dirs = [tuple(a - b for a, b in zip(pts[i], base)) for i in T[1:]]
+            for R in itertools.combinations(range(4), 3 - r):
+                vectors = dirs + [AXES[i] for i in R]
+                w = _cross4(*vectors)
+                if w == (0, 0, 0, 0):
+                    continue
+                c = _dot(w, base)
+                vals = [_dot(w, p) for p in pts]
+                lo = min(vals)
+                hi = max(vals)
+                if lo == c and hi > c:
+                    pass
+                elif hi == c and lo < c:
+                    w = tuple(-a for a in w)
+                    c = -c
+                    vals = [-v for v in vals]
+                elif lo == hi == c:
+                    if all(a <= 0 for a in w):
+                        w = tuple(-a for a in w)
+                else:
+                    continue
+                if any(a < 0 for a in w):
+                    continue
+                key = _primitive(w)
+                if key in facets:
+                    continue
+                tight_pts = frozenset(p for p, v in zip(pts, vals) if v == c)
+                tight_rays = frozenset(i for i in range(4) if key[i] == 0)
+                if _affine_rank(sorted(tight_pts), [AXES[i] for i in tight_rays]) == 3:
+                    facets[key] = (tight_pts, tight_rays)
+    return facets
+
+
+def oracle_diagram(f, points):
+    """(facets, vertices, faces) of f from the facets of `points(support)`,
+    closed under intersection by a work list."""
+    support = f.support()
+    facets = oracle_facets(points(support))
+    faces = {}
+    work = [(pts, rays) for pts, rays in facets.values()]
+    for item in work:
+        faces[item] = None
+    while work:
+        new_items = []
+        for a_pts, a_rays in work:
+            for b_pts, b_rays in list(faces):
+                pts = a_pts & b_pts
+                rays = a_rays & b_rays
+                if not pts:
+                    continue
+                key = (pts, rays)
+                if key not in faces:
+                    faces[key] = None
+                    new_items.append(key)
+        work = new_items
+    face_objs = []
+    for pts in [pts for pts, rays in faces if not rays]:
+        sorted_pts = tuple(sorted(pts, key=grlex_key))
+        normals = [w for w, (fpts, _frays) in facets.items() if pts <= fpts]
+        witness = _primitive([sum(col) for col in zip(*normals)])
+        assert all(c > 0 for c in witness)
+        m = min(_dot(witness, v) for v in support)
+        assert frozenset(v for v in support if _dot(witness, v) == m) == pts
+        face_objs.append(Face(_affine_rank(sorted_pts), sorted_pts, witness))
+    face_objs.sort(key=lambda face: (face.dimension, face.lattice_points))
+    vertices = tuple(face.lattice_points[0] for face in face_objs if face.dimension == 0)
+    return facets, vertices, tuple(face_objs)
+
+
+def supports_in_few_variables(rng, count):
+    """Seeded supports in 1, 2, 3 and 4 of the variables."""
+    cases = []
+    for i in range(count):
+        used = rng.sample(range(4), 1 + i % 4)
+        f = random_support_polynomial(rng)
+        cases.append(
+            Polynomial({tuple(e * (j in used) for j, e in enumerate(v)): 1 for v in f.support()})
+        )
+    return cases
+
+
+def quasihomogeneous_supports(rng, count):
+    """Supports on one hyperplane <w, v> = level, w strictly positive."""
+    cases = []
+    while len(cases) < count:
+        w = tuple(rng.randint(1, 5) for _ in range(4))
+        level = rng.randint(6, 24)
+        points = [
+            v
+            for v in itertools.product(*(range(level // c + 1) for c in w))
+            if _dot(w, v) == level
+        ]
+        if points:
+            cases.append(Polynomial({v: 1 for v in rng.sample(points, min(len(points), 7))}))
+    return cases
+
+
+ORACLE_SOURCES = {
+    "few variables": lambda: supports_in_few_variables(random.Random(53), 160),
+    "dominated": lambda: [
+        TestMinimalPointFilter.dominated_support(rng)
+        for rng in [random.Random(41)]
+        for _ in range(40)
+    ],
+    "quasihomogeneous": lambda: quasihomogeneous_supports(random.Random(59), 60),
+    "seed-0 corpus": lambda: [instance.polynomial for instance in generate_corpus(0)],
+}
+
+
+class TestDiagramOracle:
+    """`_facets` and `build_diagram` against the oracle, filtered and unfiltered."""
+
+    @pytest.mark.parametrize("source", sorted(ORACLE_SOURCES))
+    def test_facets_and_diagram_match(self, source, monkeypatch):
+        cases = ORACLE_SOURCES[source]()
+        filtered = [build_diagram(f) for f in cases]
+        monkeypatch.setattr(newton, "minimal_points", list)
+        for f, d in zip(cases, filtered):
+            for points, diagram in ((minimal_points, d), (list, build_diagram(f))):
+                facets, vertices, faces = oracle_diagram(f, points)
+                assert newton._facets(points(f.support())) == facets
+                assert (diagram.vertices, diagram.faces) == (vertices, faces)
 
 
 class TestAffineRank:

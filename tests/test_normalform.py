@@ -194,3 +194,59 @@ class TestEliminationRows:
         assert replay(f, cert) == cert.reduced
         again = reduce_to_normal_form(cert.reduced, cert.truncation_degree)
         assert again.applied_changes == ()
+
+
+class TestExposeStructuralMonomial:
+    """A missing structural monomial is exposed by the z <-> t swap, or else by
+    the first shear t <- t + lam*z that keeps the preserved monomials."""
+
+    @pytest.mark.parametrize(
+        "text, label, note, changes",
+        [
+            (
+                "x^2 + y^3 + t^4 + z^5",
+                "cE6",
+                "swapped z and t to expose the structural monomial (0, 0, 4, 0)",
+                1,
+            ),
+            (
+                "x^2 + y^3 + y*t^3 + z^7",
+                "cE7",
+                "swapped z and t to expose the structural monomial (0, 1, 3, 0)",
+                1,
+            ),
+            (
+                "x^2 + y^3 + z^3*t + z*t^3",
+                "cE6",
+                "sheared t <- t + 1*z to expose the structural monomial (0, 0, 4, 0)",
+                2,
+            ),
+            (
+                # t <- t + z cancels z^4; the next shear exposes it.
+                "x^2 + y^3 + z*t^3 - z^3*t",
+                "cE6",
+                "sheared t <- t + 2*z to expose the structural monomial (0, 0, 4, 0)",
+                2,
+            ),
+            (
+                # The swap would expose z^5 but lose y^2*z.
+                "x^2 + y^2*z + t^5 + z^6",
+                "cD_6",
+                "sheared t <- t + 1*z to expose the structural monomial (0, 0, 5, 0)",
+                14,
+            ),
+            (
+                "x^2 + y^3 + z^2*t^3 + z^3*t^2",
+                "cE8",
+                "sheared t <- t + 1*z to expose the structural monomial (0, 0, 5, 0)",
+                2,
+            ),
+        ],
+    )
+    def test_move_and_note(self, text, label, note, changes):
+        f = P(text)
+        cert = reduce_to_normal_form(f)
+        assert cert.type.label() == label
+        assert cert.notes == (note,)
+        assert len(cert.applied_changes) == changes
+        assert replay(f, cert) == cert.reduced
