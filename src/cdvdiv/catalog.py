@@ -40,6 +40,7 @@ from typing import List, Optional, Tuple
 
 from cdvdiv.blowup import Weight
 from cdvdiv.curvegeom import is_plt_weight
+from cdvdiv.newton import _affine_rank
 from cdvdiv.normalform import SingularityType
 
 
@@ -185,18 +186,7 @@ def _face_viable(families, m: int, w) -> bool:
             points.append((0, y_exp, z_exp, rest // w[3]))
     if z_pure_min is not None and m % w[2] == 0 and m // w[2] >= z_pure_min:
         points.append((0, 0, m // w[2], 0))
-    if len(points) < 3:
-        return False
-    base = points[0]
-    rows = [tuple(p[i] - base[i] for i in range(4)) for p in points[1:]]
-    # rank >= 2 of small integer matrices via pairwise 2x2 minors
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            for c1 in range(4):
-                for c2 in range(c1 + 1, 4):
-                    if rows[i][c1] * rows[j][c2] - rows[i][c2] * rows[j][c1] != 0:
-                        return True
-    return False
+    return _affine_rank(points) >= 2
 
 
 # Viable scan solutions pinned out of the certified cE8 catalog (reported as

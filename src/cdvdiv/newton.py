@@ -6,12 +6,17 @@ vectors.  Enumeration is brute force and exact:
 
   1. candidate facet hyperplanes are spanned by up to 4 support points
      together with coordinate recession directions; their integer normals
-     come from the generalized cross product in Z^4;
-  2. supporting hyperplanes with a 3-dimensional tight set are the facets
-     (dimensions come from fraction-free integer elimination);
-  3. every proper face is an intersection of facets, so closing the facet
-     list under pairwise intersection yields the whole face lattice, and the
-     faces with no recession direction are the compact ones.
+     come from the generalized cross product in Z^4.  The polyhedron is
+     bounded below only along non-negative normals, so a normal with a
+     negative entry is negated, and dropped if it still has one or is zero;
+  2. a non-negative normal w whose plane has no support point below it
+     supports the polyhedron, and it is a facet when its tight set is
+     3-dimensional (dimensions come from fraction-free integer
+     elimination);
+  3. every proper face is an intersection of facets, so one pass over the
+     facets, intersecting each with every face found so far, yields the
+     whole face lattice, and the faces with no recession direction are the
+     compact ones.
 
 Each compact face stores a canonical witness weight (an interior point of
 its normal cone, obtained as the primitive sum of the normals of all facets
@@ -146,41 +151,22 @@ class NewtonDiagram:
 def _facets(support: Sequence[ExponentVector]):
     """All facets of conv(support) + R^4_{>=0} as (normal, tight points, tight rays)."""
     facets: Dict[Tuple[int, ...], Tuple[FrozenSet[ExponentVector], FrozenSet[int]]] = {}
-    pts = list(support)
-    n = len(pts)
     for r in range(4):  # r + 1 spanning points, 3 - r spanning rays
-        for T in itertools.combinations(range(n), r + 1):
-            base = pts[T[0]]
-            dirs = [_sub(pts[i], base) for i in T[1:]]
-            for R in itertools.combinations(range(4), 3 - r):
-                vectors = dirs + [AXES[i] for i in R]
-                w = _cross4(*vectors)
-                if w == (0, 0, 0, 0):
-                    continue
-                c = _dot(w, base)
-                vals = [_dot(w, p) for p in pts]
-                lo = min(vals)
-                hi = max(vals)
-                if lo == c and hi > c:
-                    pass
-                elif hi == c and lo < c:
+        for base, *rest in itertools.combinations(support, r + 1):
+            dirs = [_sub(p, base) for p in rest]
+            for R in itertools.combinations(AXES, 3 - r):
+                w = _cross4(*dirs, *R)
+                if min(w) < 0:
                     w = tuple(-a for a in w)
-                    c = -c
-                    vals = [-v for v in vals]
-                elif lo == hi == c:
-                    # Entire support on the hyperplane: pick the orientation
-                    # with non-negative normal, if there is one.
-                    if all(a <= 0 for a in w):
-                        w = tuple(-a for a in w)
-                else:
-                    continue
-                if any(a < 0 for a in w):
-                    continue  # min over the polyhedron is not attained
+                if min(w) < 0 or not any(w):
+                    continue  # dependent vectors, or no minimum over the polyhedron
                 key = _primitive(w)
                 if key in facets:
                     continue
-                # c is the least value now, whichever branch oriented w
-                tight_pts = frozenset(p for p, v in zip(pts, vals) if v == c)
+                c = _dot(key, base)
+                if any(_dot(key, p) < c for p in support):
+                    continue
+                tight_pts = frozenset(p for p in support if _dot(key, p) == c)
                 tight_rays = frozenset(i for i in range(4) if key[i] == 0)
                 if _affine_rank(sorted(tight_pts), [AXES[i] for i in tight_rays]) == 3:
                     facets[key] = (tight_pts, tight_rays)
@@ -202,24 +188,11 @@ def build_diagram(f: Polynomial) -> NewtonDiagram:
     support = f.support()
     facets = _facets(minimal_points(support))
 
-    # Close the facet list under intersection; every proper face shows up.
-    faces: Dict[Tuple[FrozenSet[ExponentVector], FrozenSet[int]], None] = {}
-    work = [(pts, rays) for pts, rays in facets.values()]
-    for item in work:
-        faces[item] = None
-    while work:
-        new_items = []
-        for a_pts, a_rays in work:
-            for b_pts, b_rays in list(faces):
-                pts = a_pts & b_pts
-                rays = a_rays & b_rays
-                if not pts:
-                    continue
-                key = (pts, rays)
-                if key not in faces:
-                    faces[key] = None
-                    new_items.append(key)
-        work = new_items
+    # After facet k, faces holds every nonempty intersection of facets 1..k.
+    faces = set()
+    for pts, rays in facets.values():
+        faces |= {(pts & a, rays & b) for a, b in faces if pts & a}
+        faces.add((pts, rays))
 
     compact = [pts for pts, rays in faces if not rays]
     face_objs: List[Face] = []
@@ -300,17 +273,6 @@ def _restricted_terms(g: Polynomial, var_idx: Sequence[int]):
     return terms
 
 
-def _derived_terms(terms, j: int):
-    out = []
-    for exps, coeff in terms:
-        if exps[j] == 0:
-            continue
-        d = list(exps)
-        d[j] -= 1
-        out.append((tuple(d), coeff * exps[j]))
-    return out
-
-
 def singular_torus_search(g: Polynomial) -> FaceVerdict:
     """Decide non-degeneracy of a single quasihomogeneous piece.
 
@@ -342,7 +304,7 @@ def singular_torus_search(g: Polynomial) -> FaceVerdict:
     var_idx = [i for i in range(4) if VARS[i] in names]
     terms = _restricted_terms(g, var_idx)
     for j in range(len(var_idx)):
-        if len(_derived_terms(terms, j)) == 1:
+        if sum(1 for exps, _ in terms if exps[j]) == 1:
             return FaceVerdict(
                 NONDEGENERATE_CERTIFIED,
                 f"d/d{names[j]} is a single monomial, nonzero on the torus",

@@ -436,43 +436,21 @@ def _shear_until(
     """
     if red.coefficient(target) != 0:
         return
-    swap = Substitution(
+    x, y, z, t = (Polynomial.variable(v) for v in VARS)
+    moves = itertools.chain(
+        [(Substitution((x, y, t, z), red.truncation), "swapped z and t")],
         (
-            Polynomial.variable("x"),
-            Polynomial.variable("y"),
-            Polynomial.variable("t"),
-            Polynomial.variable("z"),
+            (Substitution.single("t", t + z.scale(lam), red.truncation),
+             f"sheared t <- t + {lam}*z")
+            for lam in range(1, _MAX_SHEAR + 1)
         ),
-        red.truncation,
     )
-    swapped = apply_substitution(red.current, swap)
-    if swapped.coefficient(target) != 0 and all(
-        swapped.coefficient(e) != 0 for e in preserve if red.coefficient(e) != 0
-    ):
-        red.apply(swap)
-        red.notes.append(
-            f"swapped z and t to expose the structural monomial {target}"
-        )
-        return
-    for lam in range(1, _MAX_SHEAR + 1):
-        probe = apply_substitution(
-            red.current,
-            Substitution.single(
-                "t",
-                Polynomial.variable("t") + Polynomial.variable("z").scale(lam),
-                red.truncation,
-            ),
-        )
-        if probe.coefficient(target) != 0 and all(
-            probe.coefficient(e) != 0 for e in preserve if red.coefficient(e) != 0
-        ):
-            red.single(
-                "t", Polynomial.variable("t") + Polynomial.variable("z").scale(lam)
-            )
-            red.notes.append(
-                f"sheared t <- t + {lam}*z to expose the structural monomial "
-                f"{target}"
-            )
+    kept = [e for e in preserve if red.coefficient(e) != 0]
+    for sub, move in moves:
+        probe = apply_substitution(red.current, sub)
+        if probe.coefficient(target) != 0 and all(probe.coefficient(e) != 0 for e in kept):
+            red.apply(sub)
+            red.notes.append(f"{move} to expose the structural monomial {target}")
             return
     raise ReductionError(f"could not expose structural monomial {target}")
 

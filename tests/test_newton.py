@@ -237,13 +237,14 @@ def quasihomogeneous_supports(rng, count):
     return cases
 
 
+def dominated_supports(rng, count):
+    """The supports with dominated points of `TestMinimalPointFilter`."""
+    return [TestMinimalPointFilter.dominated_support(rng) for _ in range(count)]
+
+
 ORACLE_SOURCES = {
     "few variables": lambda: supports_in_few_variables(random.Random(53), 160),
-    "dominated": lambda: [
-        TestMinimalPointFilter.dominated_support(rng)
-        for rng in [random.Random(41)]
-        for _ in range(40)
-    ],
+    "dominated": lambda: dominated_supports(random.Random(41), 40),
     "quasihomogeneous": lambda: quasihomogeneous_supports(random.Random(59), 60),
     "seed-0 corpus": lambda: [instance.polynomial for instance in generate_corpus(0)],
 }
