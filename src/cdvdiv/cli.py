@@ -453,7 +453,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
         "report": doc,
     }
     if config.output_format == "structured":
-        json.dump(document, out, indent=2)
+        out.write(json.dumps(document, indent=2))
         out.write("\n")
     else:
         _render_text(config.command, doc, out)

@@ -4,15 +4,17 @@ The Newton polyhedron of f is conv(supp f) + R^4_{>=0}.  Its compact faces
 (the Newton diagram) are exactly the argmin loci of strictly positive weight
 vectors.  Enumeration is brute force and exact:
 
-  1. candidate facet hyperplanes are spanned by up to 4 support points
-     together with coordinate recession directions; their integer normals
-     come from the generalized cross product in Z^4.  The polyhedron is
-     bounded below only along non-negative normals, so a normal with a
-     negative entry is negated, and dropped if it still has one or is zero;
-  2. a non-negative normal w whose plane has no support point below it
-     supports the polyhedron, and it is a facet when its tight set is
-     3-dimensional (dimensions come from fraction-free integer
-     elimination);
+  1. candidate facet hyperplanes are spanned by a set R of 3 - r
+     coordinate recession directions and r + 1 minimal points of the
+     support with R's coordinates zeroed (a facet normal that vanishes
+     exactly on R is positive off R, so its tight points project to
+     minimal points); their integer normals come from the generalized
+     cross product in Z^4.  The polyhedron is bounded below only along
+     non-negative normals, so a normal with a negative entry is negated,
+     and dropped if it still has one or is zero;
+  2. a non-negative normal whose plane has no support point below it
+     supports the polyhedron, and it is a facet: the spanning vectors are
+     independent and lie in the plane;
   3. every proper face is an intersection of facets, so one pass over the
      facets, intersecting each with every face found so far, yields the
      whole face lattice, and the faces with no recession direction are the
@@ -81,12 +83,7 @@ def _cross4(u: Sequence[int], v: Sequence[int], s: Sequence[int]) -> Tuple[int, 
             + u[c] * (v[a] * s[b] - v[b] * s[a])
         )
 
-    return (
-        minor((1, 2, 3)),
-        -minor((0, 2, 3)),
-        minor((0, 1, 3)),
-        -minor((0, 1, 2)),
-    )
+    return (minor((1, 2, 3)), -minor((0, 2, 3)), minor((0, 1, 3)), -minor((0, 1, 2)))
 
 
 def _affine_rank(points: Sequence[Sequence[int]], rays: Sequence[Sequence[int]] = ()) -> int:
@@ -149,13 +146,26 @@ class NewtonDiagram:
 
 
 def _facets(support: Sequence[ExponentVector]):
-    """All facets of conv(support) + R^4_{>=0} as (normal, tight points, tight rays)."""
+    """All facets of conv(support) + R^4_{>=0} as (normal, tight points, tight rays).
+
+    A facet whose normal w vanishes exactly on a set R of 3 - r axes is
+    spanned by R and r + 1 minimal points of pi(support), pi zeroing R's
+    coordinates: w is strictly positive off R and w.p = w.pi(p), so a tight
+    p has pi(p) minimal (pi(p) >= pi(q) != pi(p) gives w.p > w.q).  A facet
+    whose normal has a larger zero set is found at its own, smaller r.  The
+    no-point-below test runs over the whole support.  A nonzero cross
+    product makes the r directions and R independent, and they lie in the
+    plane, so the tight set of a plane that passes the test has rank 3.
+    """
     facets: Dict[Tuple[int, ...], Tuple[FrozenSet[ExponentVector], FrozenSet[int]]] = {}
     for r in range(4):  # r + 1 spanning points, 3 - r spanning rays
-        for base, *rest in itertools.combinations(support, r + 1):
-            dirs = [_sub(p, base) for p in rest]
-            for R in itertools.combinations(AXES, 3 - r):
-                w = _cross4(*dirs, *R)
+        for R in itertools.combinations(range(4), 3 - r):
+            pool = minimal_points(
+                [tuple(0 if i in R else a for i, a in enumerate(p)) for p in support]
+            )
+            rays = [AXES[i] for i in R]
+            for base, *rest in itertools.combinations(pool, r + 1):
+                w = _cross4(*(_sub(p, base) for p in rest), *rays)
                 if min(w) < 0:
                     w = tuple(-a for a in w)
                 if min(w) < 0 or not any(w):
@@ -166,10 +176,10 @@ def _facets(support: Sequence[ExponentVector]):
                 c = _dot(key, base)
                 if any(_dot(key, p) < c for p in support):
                     continue
-                tight_pts = frozenset(p for p in support if _dot(key, p) == c)
-                tight_rays = frozenset(i for i in range(4) if key[i] == 0)
-                if _affine_rank(sorted(tight_pts), [AXES[i] for i in tight_rays]) == 3:
-                    facets[key] = (tight_pts, tight_rays)
+                facets[key] = (
+                    frozenset(p for p in support if _dot(key, p) == c),
+                    frozenset(i for i in range(4) if key[i] == 0),
+                )
     return facets
 
 
@@ -198,9 +208,7 @@ def build_diagram(f: Polynomial) -> NewtonDiagram:
     face_objs: List[Face] = []
     for pts in compact:
         sorted_pts = tuple(sorted(pts, key=grlex_key))
-        normals = [
-            w for w, (fpts, _frays) in facets.items() if pts <= fpts
-        ]
+        normals = [w for w, (fpts, _frays) in facets.items() if pts <= fpts]
         witness = _primitive([sum(col) for col in zip(*normals)])
         if any(c <= 0 for c in witness):
             raise AssertionError(f"non-positive witness {witness} for face {sorted_pts}")
@@ -208,17 +216,9 @@ def build_diagram(f: Polynomial) -> NewtonDiagram:
         argmin = frozenset(v for v in support if _dot(witness, v) == m)
         if argmin != pts:
             raise AssertionError(f"witness {witness} does not cut out face {sorted_pts}")
-        face_objs.append(
-            Face(
-                dimension=_affine_rank(sorted_pts),
-                lattice_points=sorted_pts,
-                witness=witness,
-            )
-        )
+        face_objs.append(Face(_affine_rank(sorted_pts), sorted_pts, witness))
     face_objs.sort(key=lambda face: (face.dimension, face.lattice_points))
-    vertices = tuple(
-        face.lattice_points[0] for face in face_objs if face.dimension == 0
-    )
+    vertices = tuple(face.lattice_points[0] for face in face_objs if face.dimension == 0)
     return NewtonDiagram(source=f, vertices=vertices, faces=tuple(face_objs))
 
 
@@ -265,14 +265,6 @@ class FaceVerdict:
     witness: TorusWitness | None = None
 
 
-def _restricted_terms(g: Polynomial, var_idx: Sequence[int]):
-    """Terms of g re-indexed to the given effective variables."""
-    terms = []
-    for exps, coeff in g.items():
-        terms.append((tuple(exps[i] for i in var_idx), coeff))
-    return terms
-
-
 def singular_torus_search(g: Polynomial) -> FaceVerdict:
     """Decide non-degeneracy of a single quasihomogeneous piece.
 
@@ -302,7 +294,7 @@ def singular_torus_search(g: Polynomial) -> FaceVerdict:
             f"{kind} face polynomials are smooth on the torus",
         )
     var_idx = [i for i in range(4) if VARS[i] in names]
-    terms = _restricted_terms(g, var_idx)
+    terms = [(tuple(exps[i] for i in var_idx), coeff) for exps, coeff in g.items()]
     for j in range(len(var_idx)):
         if sum(1 for exps, _ in terms if exps[j]) == 1:
             return FaceVerdict(
@@ -626,8 +618,6 @@ def check_nondegeneracy(d: NewtonDiagram) -> List[Tuple[Face, FaceVerdict]]:
     """Run the non-degeneracy check on every compact face of the diagram."""
     results = []
     for face in d.faces:
-        fp = Polynomial(
-            {v: d.source.coefficient(v) for v in face.lattice_points}
-        )
+        fp = Polynomial({v: d.source.coefficient(v) for v in face.lattice_points})
         results.append((face, singular_torus_search(fp)))
     return results

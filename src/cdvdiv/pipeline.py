@@ -53,7 +53,7 @@ from cdvdiv.normalform import (
     default_truncation,
     reduce_to_normal_form,
 )
-from cdvdiv.poly import Polynomial, parse_polynomial
+from cdvdiv.poly import VARS, Polynomial, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,9 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
 
     Sub-operation failures (reduction, factorization) surface as per-weight
     warnings where possible; input errors (zero polynomial, nonzero constant
-    term, infinitely many discrepancy-1 candidates) raise ValueError.
+    term, infinitely many discrepancy-1 candidates, and, checked after the
+    weights, a variable in no monomial, on whose whole axis f and its
+    partials vanish) raise ValueError.
     """
     if f.is_zero():
         raise ValueError("input polynomial is zero")
@@ -157,6 +159,13 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
             )
     diagram = build_diagram(g)
     weights = enumerate_weights(diagram)
+    present = f.variables_present()
+    missing = [v for v in VARS if v not in present]
+    if missing:
+        raise ValueError(
+            f"{missing[0]} occurs in no monomial, so the whole {missing[0]}-axis "
+            "is singular: not an isolated cDV point"
+        )
     reports: List[WeightReport] = []
     non_rational = 0
     for w in weights:

@@ -112,6 +112,13 @@ class TestOtherCommands:
             assert "ray (1, 1, 0, 0)" in err
             assert "not an isolated cDV point" in err
 
+    def test_germ_missing_a_variable_is_an_input_error(self, tmp_path):
+        path = write_input(tmp_path, "x^2 + y^2*z + z^20")
+        status, out, err = run_config(RunConfig(command="analyze", input_path=path))
+        assert status == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "whole t-axis is singular" in err
+
     def test_lemmas_requires_type(self):
         status, _out, err = run_config(RunConfig(command="lemmas"))
         assert status == EXIT_INPUT_ERROR

@@ -242,9 +242,32 @@ def dominated_supports(rng, count):
     return [TestMinimalPointFilter.dominated_support(rng) for _ in range(count)]
 
 
+def dense_supports(rng, count):
+    """Supports of 10 to 16 points of total degree 11, 12 or 13, none of
+    which dominates another, so every coordinate projection keeps a large
+    pool of minimal points."""
+    cases = []
+    for _ in range(count):
+        points = []
+        for _ in range(rng.randint(10, 16)):
+            while True:
+                total = rng.randint(11, 13)
+                cuts = sorted(rng.randint(0, total) for _ in range(3))
+                v = (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], total - cuts[2])
+                if not any(
+                    all(a <= b for a, b in zip(q, v)) or all(a >= b for a, b in zip(q, v))
+                    for q in points
+                ):
+                    break
+            points.append(v)
+        cases.append(Polynomial({v: 1 for v in points}))
+    return cases
+
+
 ORACLE_SOURCES = {
     "few variables": lambda: supports_in_few_variables(random.Random(53), 160),
     "dominated": lambda: dominated_supports(random.Random(41), 40),
+    "dense": lambda: dense_supports(random.Random(61), 24),
     "quasihomogeneous": lambda: quasihomogeneous_supports(random.Random(59), 60),
     "seed-0 corpus": lambda: [instance.polynomial for instance in generate_corpus(0)],
 }
@@ -263,6 +286,23 @@ class TestDiagramOracle:
                 facets, vertices, faces = oracle_diagram(f, points)
                 assert newton._facets(points(f.support())) == facets
                 assert (diagram.vertices, diagram.faces) == (vertices, faces)
+
+
+class TestFacetInvariant:
+    """Every plane `_facets` returns is a facet, with no rank check of its own."""
+
+    @pytest.mark.parametrize("source", sorted(ORACLE_SOURCES))
+    def test_supporting_plane_of_rank_three(self, source):
+        for f in ORACLE_SOURCES[source]():
+            for points in (minimal_points(f.support()), f.support()):
+                facets = newton._facets(points)
+                assert facets
+                for w, (pts, rays) in facets.items():
+                    level = _dot(w, next(iter(pts)))
+                    assert all(_dot(w, p) >= level for p in points)
+                    assert pts == {p for p in points if _dot(w, p) == level}
+                    assert _affine_rank(sorted(pts), [AXES[i] for i in rays]) == 3
+                    assert rays == {i for i in range(4) if w[i] == 0}
 
 
 class TestAffineRank:

@@ -69,6 +69,11 @@ class TestAnalyzeExamples:
         with pytest.raises(ValueError):
             analyze(Polynomial.zero())
 
+    def test_missing_variable_rejected(self):
+        # f and its partials do not depend on t, so the t-axis is singular
+        with pytest.raises(ValueError, match="t occurs in no monomial"):
+            analyze_text("x^2 + y^2*z + z^20")
+
     def test_reduction_applied_before_diagram(self):
         # x-linear noise must not change the verdicts
         clean = analyze_text("x^2 + y^2*z + z^3 + t^3")

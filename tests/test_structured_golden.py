@@ -6,7 +6,8 @@ criterion-8 family, seed 0) and one germ whose reduction fails, so the
 warnings path is covered too.  The `diagram` germs cover edges and 2-faces
 decided exactly in their own dimension (two corpus germs, seed 0, whose
 edges a GF(257) scan once called degenerate, and a germ with a 2-face in
-y, z, t), and a worked example.
+y, z, t), a worked example, and two germs with dense supports, whose
+diagrams have dozens of faces of every dimension.
 
 A second fixture stores the normal-form certificate (type, reduced
 polynomial, every change's `describe()`, constraints, notes, truncation
@@ -80,6 +81,13 @@ DIAGRAM_GERMS = [
     "y^2*z + 5/4*y*t^2 + z^3 + 9/4*z*t^2 + 7/4*t^3 + x^2",
     # worked example
     "x^2 + y^2*z + z^5 + t^5",
+    # the first two supports of the "dense" oracle source of test_newton.py:
+    # 13 and 10 points of total degree 11 to 13, none dominating another
+    "x^2*y^8*z^2*t + x*y^9*z*t^2 + x^5*y^6*z + x^5*z^4*t^3 + x^4*y*z^6*t + x^2*z*t^9"
+    " + x^5*y^2*z*t^3 + x^5*y*z*t^4 + x^5*z^2*t^4 + x^3*y^2*z^3*t^3 + x^2*y^4*z^5"
+    " + y^5*z^5*t + y^5*z*t^5",
+    "x^5*z^4*t^4 + x*y^5*z^7 + x^7*y^3*t^2 + x*y^6*z^3*t^2 + x*y*z*t^9 + y^5*z^6*t"
+    " + y^2*z^4*t^6 + x^5*y^2*z^4 + x^4*y^2*z*t^4 + x*y^2*z^3*t^5",
 ]
 
 CASES = [("analyze", text) for text in ANALYZE_GERMS] + [
