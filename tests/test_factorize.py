@@ -5,8 +5,9 @@ The oracle builds a sympy expression term by term, factors it with
 normalizes and sorts exactly as `rational_factors` does, so both must return
 the same (constant, factors).  The inputs include seeded polynomials of each
 shape that `rational_factors` proves irreducible without sympy (binomials,
-polynomials linear in one variable, primitive simplices) and the boundary
-cases of those rules that must fall back to sympy.
+polynomials linear in one variable, primitive simplices, non-degenerate
+polygons) and the boundary cases of those rules that must fall back to
+sympy.
 """
 
 import math
@@ -22,6 +23,8 @@ import sympy
 
 from cdvdiv import factorize
 from cdvdiv.factorize import normalize_integer_primitive, rational_factors
+from cdvdiv.newton import _affine_rank
+from cdvdiv.pipeline import AnalyzeOptions, analyze, generate_corpus
 from cdvdiv.poly import Polynomial, parse_polynomial
 
 P = parse_polynomial
@@ -134,6 +137,55 @@ def _seeded_simplices(count: int, seed: int = 20243):
     return products
 
 
+def _quasi_homogeneous(rng: random.Random, kind: str, degree: int, variables) -> Polynomial:
+    """A form of the degree in the three variables, or x^2 plus a binary form in z, t.
+
+    The pure powers are always present, so the support spans a triangle and
+    has affine rank 2; the other monomials of the degree each appear with
+    probability 1/2.
+    """
+    if kind == "ternary":
+        terms = {}
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                exps = [0, 0, 0, 0]
+                exps[variables[0]], exps[variables[1]] = a, b
+                exps[variables[2]] = degree - a - b
+                if degree in (a, b, degree - a - b) or rng.random() < 0.5:
+                    terms[tuple(exps)] = _random_coeff(rng)
+        return Polynomial(terms)
+    terms = {(2, 0, 0, 0): Fraction(1)}
+    for a in range(2 * degree + 1):
+        if a in (0, 2 * degree) or rng.random() < 0.5:
+            terms[(0, 0, a, 2 * degree - a)] = _random_coeff(rng)
+    return Polynomial(terms)
+
+
+def _seeded_polygons(count: int, seed: int = 20244):
+    """Quasi-homogeneous faces of affine rank 2, and planted products of two.
+
+    The faces are ternary forms of degree 3-5 and x^2 + (binary forms of
+    degree 2-6 in z, t).  A planted product multiplies two factors of one
+    kind and one weight (ternary forms of degree 1-3, or x^2 + binary forms
+    of one degree), so it is a reducible rank-2 face the rule must not
+    certify.
+    """
+    rng = random.Random(seed)
+    faces, products = [], []
+    for _ in range(count):
+        kind = rng.choice(["ternary", "binary"])
+        variables = rng.sample(range(4), 3)
+        degree = rng.randint(3, 5) if kind == "ternary" else rng.randint(1, 3)
+        faces.append(_with_content(rng, _quasi_homogeneous(rng, kind, degree, variables)))
+        if kind == "ternary":
+            degrees = rng.randint(1, 3), rng.randint(1, 3)
+        else:
+            degrees = (rng.randint(1, 2),) * 2
+        first, second = (_quasi_homogeneous(rng, kind, d, variables) for d in degrees)
+        products.append(first * second)
+    return faces, products
+
+
 def _seeded_products(count: int, seed: int = 20240):
     rng = random.Random(seed)
     products = []
@@ -170,7 +222,14 @@ FALLBACK = [
     "x^3 + 8/27*z^3",  # r = -8/27 = (-2/3)^3
     "y^2 - 4*z^2*t^2",  # r = 4 a square
     "t^60 - 32",  # g = 60, r = 32 a 5th power but no square or cube
-    "x^2 + 9/2*z^12 + 5*t^12",  # affinely independent, coordinate gcd 2
+    # the face is certified, but its edge x^2 + 2*x*y + y^2 is degenerate:
+    # z*(x + y + z)*(x + y + 2*z)
+    "x^2*z + 2*x*y*z + y^2*z + 3*x*z^2 + 3*y*z^2 + 2*z^3",
+    "z^5 - 1/2*z^3*t^2 - 7/4*z^2*t^3 + 5/3*z*t^4 + 2*t^5",  # cE8 corpus edge, rank 1
+    # the faces' own tests fail: (x + y + z)*(x + 2*y + 3*z) vanishes doubly at
+    # (1, -2, 1), and the irreducible nodal cubic is singular at (1, 1, 1)
+    "x^2 + 3*x*y + 4*x*z + 2*y^2 + 5*y*z + 3*z^2",
+    "x^3 - 3*x^2*z + x*y*z + 2*x*z^2 + y^3 - 3*y^2*z + 2*y*z^2 - z^3",
 ]
 
 # Faces that a rule proves irreducible (or a constant times content), so they
@@ -189,9 +248,17 @@ CERTIFIED = [
     "-1/2*z^6 - 8*z*t^5 - 7/3*t^6 + y*z^3 + x^2",
     "-7*y*t^3 + 3*t^4 + y^2*z + x^2",
     "t^60 - 3",
+    # non-degenerate polygons: coordinate gcd 2, and a corpus ternary cubic
+    "x^2 + 9/2*z^12 + 5*t^12",
+    "x^2 + 2*z^4 + 3/4*t^4",
+    "y^2*z + 5/4*y*t^2 + z^3 + 9/4*z*t^2 + 7/4*t^3",
 ]
 
-SHAPES = _seeded_binomials(40) + _seeded_linear(25) + _seeded_simplices(25)
+POLYGONS, PLANTED = _seeded_polygons(16)
+
+SHAPES = (
+    _seeded_binomials(40) + _seeded_linear(25) + _seeded_simplices(25) + POLYGONS + PLANTED
+)
 
 INPUTS = [P(s) for s in FIXED + FALLBACK + CERTIFIED] + _seeded_products(50) + SHAPES
 
@@ -230,7 +297,14 @@ def test_rule_boundaries_fall_back(monkeypatch, text):
 
 
 def test_seeded_shapes_cover_every_rule():
-    rules = {"fallback": 0, "binomial": 0, "linear": 0, "simplex": 0, "content": 0}
+    rules = {
+        "fallback": 0,
+        "binomial": 0,
+        "linear": 0,
+        "simplex": 0,
+        "polygon": 0,
+        "content": 0,
+    }
     for f in SHAPES:
         _content, g = factorize.strip_monomial_content(f)
         rules["content"] += g != f
@@ -240,9 +314,30 @@ def test_seeded_shapes_cover_every_rule():
             rules["linear"] += 1
         elif factorize._primitive_simplex(g):
             rules["simplex"] += 1
+        elif factorize._nondegenerate_polygon(g):
+            rules["polygon"] += 1
         else:
             rules["fallback"] += 1
     assert min(rules.values()) >= 5, rules
+    assert all(
+        _affine_rank(f.support()) == 2 and not factorize._proved_irreducible(f) for f in PLANTED
+    )
+
+
+def test_corpus_reaches_sympy_only_below_rank_two(monkeypatch):
+    real = factorize._sympy_factors
+    seen = []
+
+    def counted(f):
+        seen.append(f)
+        return real(f)
+
+    monkeypatch.setattr(factorize, "_sympy_factors", counted)
+    for instance in generate_corpus(seed=0):
+        analyze(instance.polynomial, AnalyzeOptions(check_faces=False))
+    assert all(_affine_rank(f.support()) <= 1 for f in seen), seen
+    # the binary quintic edges of the three cE8 offset-0 germs
+    assert len(seen) == 3
 
 
 def test_importing_the_cli_does_not_import_sympy():
@@ -259,6 +354,29 @@ def test_importing_the_cli_does_not_import_sympy():
         check=True,
     )
     assert out.stdout.strip() == "False False"
+
+
+def test_analyzing_a_polygon_face_does_not_import_sympy(tmp_path):
+    # the face x^2 + 9/2*z^12 + 5*t^12 at weight (6, 6, 1, 1) is a
+    # non-degenerate polygon with coordinate gcd 2
+    path = tmp_path / "f.txt"
+    path.write_text("x^2 + y^2*z + 9/2*z^12 + 5*t^12\n", encoding="utf-8")
+    code = (
+        "import io, sys, contextlib\n"
+        "from cdvdiv.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = main(['analyze', '--input', {str(path)!r}])\n"
+        "print(status, 'sympy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "0 False"
 
 
 @pytest.mark.parametrize("text", ["y^2 - 4*z^2*t^2", "x^4 + 4*y^4"])
