@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import List, Optional, Tuple
 
@@ -96,16 +97,21 @@ def _conditions_cd(n: int, m: int, w) -> bool:
     return False
 
 
-def _conditions_ce6(m: int, w) -> bool:
-    # (a=2, b<=3, c<=4) or (a<2, b=3, c<=4) or (a<2, b<3, c=4)
+# The pure z-power z^k of the cE6 and cE8 normal forms.
+_PURE_Z_POWER = {"cE6": 4, "cE8": 5}
+
+
+def _conditions_ce_pure(k: int, m: int, w) -> bool:
+    # cE6 (k = 4) and cE8 (k = 5):
+    # (a=2, b<=3, c<=k) or (a<2, b=3, c<=k) or (a<2, b<3, c=k)
     w1, w2, w3, _w4 = w
     if m == 2 * w1:
-        return 3 * w2 >= m and 4 * w3 >= m
+        return 3 * w2 >= m and k * w3 >= m
     if m < 2 * w1:
         if m == 3 * w2:
-            return 4 * w3 >= m
+            return k * w3 >= m
         if m < 3 * w2:
-            return 4 * w3 == m
+            return k * w3 == m
     return False
 
 
@@ -116,19 +122,6 @@ def _conditions_ce7(m: int, w) -> bool:
         return 3 * w2 >= m and w2 + 3 * w3 >= m
     if m < 2 * w1:
         return m == 3 * w2 and 9 * w3 >= 2 * m
-    return False
-
-
-def _conditions_ce8(m: int, w) -> bool:
-    # (a=2, b<=3, c<=5) or (a<2, b=3, c<=5) or (a<2, b<3, c=5)
-    w1, w2, w3, _w4 = w
-    if m == 2 * w1:
-        return 3 * w2 >= m and 5 * w3 >= m
-    if m < 2 * w1:
-        if m == 3 * w2:
-            return 5 * w3 >= m
-        if m < 3 * w2:
-            return 5 * w3 == m
     return False
 
 
@@ -150,11 +143,12 @@ def _allowed_families(kind: str, n: Optional[int]):
         for c in range(0, n - 1):
             t_families.append((0, c, max(1, n - 1 - c)))
         t_families.append((1, 0, (n + 1) // 2))
-    elif kind == "cE6":
-        fixed = [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 4, 0)]
-        for c in range(0, 3):
-            t_families.append((0, c, max(1, 4 - c)))
-            t_families.append((1, c, max(1, 3 - c)))
+    elif kind in ("cE6", "cE8"):
+        k = _PURE_Z_POWER[kind]
+        fixed = [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, k, 0)]
+        for c in range(k - 1):
+            t_families.append((0, c, k - c))
+            t_families.append((1, c, k - 1 - c))
     elif kind == "cE7":
         fixed = [(2, 0, 0, 0), (0, 3, 0, 0), (0, 1, 3, 0)]
         for c in range(0, 40):
@@ -162,11 +156,6 @@ def _allowed_families(kind: str, n: Optional[int]):
         t_families.append((1, 0, 3))
         t_families.append((1, 1, 2))
         z_pure_min = 5
-    elif kind == "cE8":
-        fixed = [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 5, 0)]
-        for c in range(0, 4):
-            t_families.append((0, c, max(1, 5 - c)))
-            t_families.append((1, c, max(1, 4 - c)))
     else:
         raise ValueError(kind)
     return fixed, t_families, z_pure_min
@@ -228,12 +217,13 @@ def _scan(kind: SingularityType, bound: Optional[int] = None) -> List[Tuple[int,
     top = _default_bound(kind)
     if bound:
         top = min(bound, top)
-    families = None
+    families = None if kind.kind == "cD" else _allowed_families(kind.kind, kind.n)
     if kind.kind == "cD":
         check = lambda m, w: _conditions_cd(kind.n, m, w)  # noqa: E731
+    elif kind.kind == "cE7":
+        check = _conditions_ce7
     else:
-        check = {"cE6": _conditions_ce6, "cE7": _conditions_ce7, "cE8": _conditions_ce8}[kind.kind]
-        families = _allowed_families(kind.kind, kind.n)
+        check = partial(_conditions_ce_pure, _PURE_Z_POWER[kind.kind])
     results = []
     for m in range(2, top + 1):
         total = m + 2

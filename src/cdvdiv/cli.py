@@ -25,10 +25,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from cdvdiv.blowup import Weight
+from cdvdiv.blowup import Weight, enumerate_weights
 from cdvdiv.catalog import candidate_weights, catalog_correspondence, lemma_quadruples
-from cdvdiv.newton import build_diagram, check_nondegeneracy
-from cdvdiv.normalform import SingularityType
+from cdvdiv.newton import build_diagram, check_nondegeneracy, support_value
+from cdvdiv.normalform import SingularityType, classify_type
 from cdvdiv.pipeline import AnalyzeOptions, analyze, run_corpus
 from cdvdiv.poly import ParseError, Polynomial, parse_polynomial, pretty
 
@@ -63,7 +63,10 @@ def _load_polynomial(config: RunConfig) -> Polynomial:
     path = Path(config.input_path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
-    text = path.read_text(encoding="utf-8").strip()
+    try:
+        text = path.read_text(encoding="utf-8").strip()
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError(f"cannot read {path}: {err}") from err
     if not text:
         raise InputError(f"input file is empty: {path}")
     try:
@@ -215,8 +218,6 @@ def _analysis_doc(result) -> Dict[str, Any]:
 def _cmd_classify(config: RunConfig) -> Dict[str, Any]:
     f = _load_polynomial(config)
     try:
-        from cdvdiv.normalform import classify_type
-
         sig = classify_type(f, config.truncation)
     except ValueError as err:
         raise InputError(str(err)) from err
@@ -247,9 +248,6 @@ def _cmd_diagram(config: RunConfig) -> Dict[str, Any]:
 
 def _cmd_weights(config: RunConfig) -> Dict[str, Any]:
     f = _load_polynomial(config)
-    from cdvdiv.blowup import enumerate_weights
-    from cdvdiv.newton import support_value
-
     try:
         diagram = build_diagram(f)
         weights = enumerate_weights(diagram)
@@ -440,6 +438,9 @@ def run(config: RunConfig, out=None, err=None) -> int:
     handler = handlers.get(config.command)
     if handler is None:
         err.write(f"unknown command: {config.command}\n")
+        return EXIT_INPUT_ERROR
+    if config.truncation is not None and config.truncation < 1:
+        err.write(f"error: --truncation must be at least 1, not {config.truncation}\n")
         return EXIT_INPUT_ERROR
     try:
         doc = handler(config)

@@ -26,7 +26,8 @@ from cdvdiv.newton import (
     DEGENERATE,
     FaceVerdict,
     NONDEGENERATE_CERTIFIED,
-    singular_torus_search,
+    _convex_hull_ccw,
+    polygon_nondegeneracy,
 )
 from cdvdiv.poly import (
     Polynomial,
@@ -164,30 +165,6 @@ class LatticePolygon:
         return len(self.vertices) <= 2
 
 
-def _convex_hull_ccw(points: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    pts = sorted(set(map(tuple, points)))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: List[Tuple[int, int]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List[Tuple[int, int]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) <= 2:
-        return pts[:1] + pts[-1:]  # all collinear: keep the segment endpoints
-    return hull
-
-
 def _interior_points(hull: List[Tuple[int, int]]):
     xs = [p[0] for p in hull]
     ys = [p[1] for p in hull]
@@ -264,36 +241,13 @@ def is_hyperelliptic(p: LatticePolygon) -> bool:
     return True
 
 
-def chart_nondegeneracy(
-    g2: Polynomial,
-    chart_vars: Tuple[str, str],
-) -> FaceVerdict:
-    """Non-degeneracy of the chart curve with respect to its Newton polygon.
+def chart_nondegeneracy(g2: Polynomial) -> FaceVerdict:
+    """Non-degeneracy of the chart curve on its Newton polygon and its edges.
 
-    Checks the full polygon and each edge piece (vertex pieces are monomials
-    and automatically smooth on the torus); returns the worst verdict.
+    The chart curve has a polygon of affine rank 2; the test is
+    `newton.polygon_nondegeneracy`.
     """
-    polygon, chart_vars = polygon_of(g2, chart_vars)
-    pieces = [g2]
-    if not polygon.is_degenerate():
-        hull = list(polygon.vertices)
-        i, j = VAR_INDEX[chart_vars[0]], VAR_INDEX[chart_vars[1]]
-        for (a, b) in zip(hull, hull[1:] + [hull[0]]):
-            edge_terms = {}
-            for exps, coeff in g2.items():
-                p = (exps[i], exps[j])
-                cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-                if cross == 0:
-                    edge_terms[exps] = coeff
-            pieces.append(Polynomial(edge_terms))
-    worst = FaceVerdict(NONDEGENERATE_CERTIFIED, "all polygon pieces certified")
-    for piece in pieces:
-        verdict = singular_torus_search(piece)
-        if verdict.status == DEGENERATE:
-            return verdict
-        if verdict.status != NONDEGENERATE_CERTIFIED:
-            worst = verdict
-    return worst
+    return polygon_nondegeneracy(g2)
 
 
 @dataclass(frozen=True)
@@ -370,7 +324,7 @@ def classify_rationality(
             hyperelliptic=True,
             hyperelliptic_by_convention=True,
         )
-    verdict = chart_nondegeneracy(chart, chart_vars)
+    verdict = chart_nondegeneracy(chart)
     if verdict.status != NONDEGENERATE_CERTIFIED:
         degenerate = verdict.status == DEGENERATE
         return RationalityResult(

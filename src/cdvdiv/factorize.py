@@ -16,10 +16,10 @@ first rule that applies:
   indecomposable (Gao, "Absolute irreducibility of polynomials via Newton
   polytopes", J. Algebra 2001).
 - **Non-degenerate polygon.**  The support has affine rank 2, and
-  `newton.singular_torus_search` certifies f and every edge polynomial of
-  its Newton polygon with at least three support points non-degenerate
-  (an edge with two points is a binomial and a vertex a monomial, both
-  smooth on the torus).  A unimodular monomial change moves the saturated
+  `newton.polygon_nondegeneracy` certifies f and every edge polynomial of
+  its Newton polygon non-degenerate (an edge with two points is a binomial
+  and a vertex a monomial, both smooth on the torus, so it tests the edges
+  with three or more).  A unimodular monomial change moves the saturated
   lattice of the polygon's plane onto two coordinates, so Z_f is
   (C*)^2 x Z_f' in the torus.  The closure of Z_f' in the projective toric
   surface of the polygon, which is normal, is an ample effective divisor,
@@ -46,12 +46,11 @@ oracle tests against sympy instead.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
-from cdvdiv.newton import NONDEGENERATE_CERTIFIED, _affine_rank, singular_torus_search
+from cdvdiv.newton import NONDEGENERATE_CERTIFIED, _affine_rank, polygon_nondegeneracy
 from cdvdiv.poly import ExponentVector, Polynomial, ZERO_EXPONENT, grlex_key
 
 
@@ -189,45 +188,16 @@ def _primitive_simplex(f: Polynomial) -> bool:
     return _affine_rank(support) == len(support) - 1 and _difference_gcd(support) == 1
 
 
-def _polygon_edges(support) -> Set[FrozenSet[ExponentVector]]:
-    """The edges of conv(support), a polygon, as the sets of points on them.
-
-    Two coordinates whose projection keeps affine rank 2 map the plane of
-    the polygon injectively, and a line through two projected points is an
-    edge's line iff no point lies strictly on each side of it.
-    """
-    i, j = next(
-        (i, j)
-        for i, j in itertools.combinations(range(4), 2)
-        if _affine_rank([(p[i], p[j], 0, 0) for p in support]) == 2
-    )
-    plane = [(p[i], p[j]) for p in support]
-    edges = set()
-    for (ax, ay), (bx, by) in itertools.combinations(plane, 2):
-        sides = [(bx - ax) * (qy - ay) - (by - ay) * (qx - ax) for qx, qy in plane]
-        if min(sides) >= 0 or max(sides) <= 0:
-            edges.add(frozenset(p for p, side in zip(support, sides) if not side))
-    return edges
-
-
 def _nondegenerate_polygon(f: Polynomial) -> bool:
-    """Support of affine rank 2, with f and its edges of 3+ points certified.
+    """Support of affine rank 2, with f and its edges certified non-degenerate.
 
     The closure of the zero set in the toric surface of the polygon is then
     a smooth, connected ample divisor, so f is irreducible (module
-    docstring).  The edges are tested first: their exact test is a
-    univariate gcd.
+    docstring).
     """
-    support = f.support()
-    if _affine_rank(support) != 2:
-        return False
-    pieces = [
-        Polynomial({p: f.coefficient(p) for p in edge})
-        for edge in _polygon_edges(support)
-        if len(edge) > 2
-    ]
-    return all(
-        singular_torus_search(g).status == NONDEGENERATE_CERTIFIED for g in pieces + [f]
+    return (
+        _affine_rank(f.support()) == 2
+        and polygon_nondegeneracy(f).status == NONDEGENERATE_CERTIFIED
     )
 
 

@@ -31,6 +31,10 @@ face's own dimension d when d <= 2 - reduced to d variables, by a
 squarefree test for d = 1 (both ways) and a resultant gcd for d = 2 (which
 can only certify).  Faces of dimension 3 and the d = 2 faces the resultants
 leave open are reported as undecided.  Every verdict is exact.
+`polygon_nondegeneracy` runs the checker on a polynomial of affine rank 2
+and on each edge of its Newton polygon, the hypothesis of Khovanskii's
+genus and irreducibility arguments ("Newton polyhedra and the genus of
+complete intersections", 1978).
 """
 
 from __future__ import annotations
@@ -304,6 +308,70 @@ def singular_torus_search(g: Polynomial) -> FaceVerdict:
     return _exact_test(g, terms, names)
 
 
+def polygon_nondegeneracy(g: Polynomial) -> FaceVerdict:
+    """Non-degeneracy of g on its Newton polygon and on each of its edges.
+
+    The support of g has affine rank 2.  Its projection to the first two
+    coordinates that keep that rank (`_rank_keeping_coordinates`, the rule
+    of `_torus_slice`) is injective on the polygon's plane, and the edges of
+    the projected hull are walked counterclockwise from its least vertex.
+    Vertices are monomials and two-point edges binomials, both smooth on the
+    torus, so only edges with three or more support points are tested.  The
+    first of them that is not certified is returned, then g's own verdict if
+    it is not certified, else a certified verdict.
+
+    That is the worst verdict over g and all its edges, the first degenerate
+    one in hull order: an edge has dimension 1, where the exact test decides
+    both ways, so an uncertified edge is degenerate; g has dimension 2,
+    where the symbolic rules and the resultants can only certify, so its
+    verdict is certified or undecided.
+    """
+    support = g.support()
+    cols = _rank_keeping_coordinates(support)
+    if len(cols) != 2:
+        raise ValueError("polygon_nondegeneracy needs a support of affine rank 2")
+    i, j = cols
+    hull = _convex_hull_ccw([(p[i], p[j]) for p in support])
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        edge = {
+            exps: coeff
+            for exps, coeff in g.items()
+            if (b[0] - a[0]) * (exps[j] - a[1]) == (b[1] - a[1]) * (exps[i] - a[0])
+        }
+        if len(edge) > 2:
+            verdict = singular_torus_search(Polynomial(edge))
+            if verdict.status != NONDEGENERATE_CERTIFIED:
+                return verdict
+    verdict = singular_torus_search(g)
+    if verdict.status != NONDEGENERATE_CERTIFIED:
+        return verdict
+    return FaceVerdict(NONDEGENERATE_CERTIFIED, "all polygon pieces certified")
+
+
+def _convex_hull_ccw(points: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    pts = sorted(set(map(tuple, points)))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: List[Tuple[int, int]] = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: List[Tuple[int, int]] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) <= 2:
+        return pts[:1] + pts[-1:]  # all collinear: keep the segment endpoints
+    return hull
+
+
 # ---------------------------------------------------------------------------
 # Exact tests in the face's own dimension
 # ---------------------------------------------------------------------------
@@ -313,15 +381,30 @@ def singular_torus_search(g: Polynomial) -> FaceVerdict:
 # v-degree of such lists in u.
 
 
+def _rank_keeping_coordinates(points) -> Tuple[int, ...]:
+    """The first d coordinates whose projection keeps the affine rank d of points.
+
+    The points have at most four coordinates.  Such coordinates exist,
+    because the points span an affine space of dimension d.
+    """
+    k = len(points[0])
+
+    def rank(cols):
+        pad = (0,) * (4 - len(cols))
+        return _affine_rank([tuple(p[i] for i in cols) + pad for p in points])
+
+    d = rank(range(k))
+    return next(cols for cols in itertools.combinations(range(k), d) if rank(cols) == d)
+
+
 def _torus_slice(terms) -> Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]:
     """Variables K and h in them with the same singular torus points as g.
 
     g is given by its terms in its k present variables; its support has
     affine dimension d, with direction space L in Q^k.  K is the first set
     of d variables whose coordinate projection keeps rank d on the support
-    (one exists, because the support spans an affine space of dimension
-    d); h is g with every other variable set to 1, times its lcm of
-    denominators and stripped of its monomial content.
+    (`_rank_keeping_coordinates`); h is g with every other variable set to
+    1, times its lcm of denominators and stripped of its monomial content.
 
     g has a singular point on (C*)^k iff h has one on (C*)^d:
 
@@ -345,14 +428,7 @@ def _torus_slice(terms) -> Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]:
     merge in h.
     """
     points = [exps for exps, _ in terms]
-    k = len(points[0])
-
-    def rank(cols):
-        pad = (0,) * (4 - len(cols))
-        return _affine_rank([tuple(p[i] for i in cols) + pad for p in points])
-
-    d = rank(range(k))
-    K = next(cols for cols in itertools.combinations(range(k), d) if rank(cols) == d)
+    K = _rank_keeping_coordinates(points)
     low = [min(p[i] for p in points) for i in K]
     scale = lcm(*(c.denominator for _, c in terms))
     h = {

@@ -280,6 +280,28 @@ def _coeff(rng: random.Random) -> Fraction:
     return value if rng.random() < 0.5 else -value
 
 
+# (kind, structural monomials besides x^2, random monomials at offset 0), in
+# the order of the corpus; the offset raises a random monomial's last variable.
+_CE_CORPUS_SHAPES = (
+    (
+        "cE6",
+        ((0, 3, 0, 0), (0, 0, 4, 0)),
+        ((0, 0, 0, 4), (0, 0, 1, 3), (0, 0, 2, 2), (0, 1, 0, 3), (0, 1, 1, 2), (0, 1, 2, 1)),
+    ),
+    (
+        "cE7",
+        ((0, 3, 0, 0), (0, 1, 3, 0)),
+        ((0, 0, 0, 5), (0, 0, 1, 4), (0, 0, 5, 0), (0, 1, 0, 4), (0, 1, 1, 3)),
+    ),
+    (
+        "cE8",
+        ((0, 3, 0, 0), (0, 0, 5, 0)),
+        ((0, 0, 0, 5), (0, 0, 1, 4), (0, 0, 2, 3), (0, 0, 3, 2),
+         (0, 1, 0, 4), (0, 1, 1, 3), (0, 1, 2, 2), (0, 1, 3, 1)),
+    ),
+)
+
+
 def generate_corpus(seed: int = 0) -> List[CorpusInstance]:
     """Seeded normal-form instances: cD_4..cD_12 and the cE shapes.
 
@@ -308,68 +330,21 @@ def generate_corpus(seed: int = 0) -> List[CorpusInstance]:
                         n=n,
                     )
                 )
-    for offset in range(3):
-        for draw in range(3):
-            terms = {
-                (2, 0, 0, 0): Fraction(1),
-                (0, 3, 0, 0): Fraction(1),
-                (0, 0, 4, 0): Fraction(1),
-                (0, 0, 0, 4 + offset): _coeff(rng),
-                (0, 0, 1, 3 + offset): _coeff(rng),
-                (0, 0, 2, 2 + offset): _coeff(rng),
-                (0, 1, 0, 3 + offset): _coeff(rng),
-                (0, 1, 1, 2 + offset): _coeff(rng),
-                (0, 1, 2, 1 + offset): _coeff(rng),
-            }
-            instances.append(
-                CorpusInstance(
-                    label=f"cE6 offset {offset} draw {draw}",
-                    polynomial=Polynomial(terms),
-                    kind="cE6",
+    for kind, structural, randoms in _CE_CORPUS_SHAPES:
+        for offset in range(3):
+            for draw in range(3):
+                terms = {(2, 0, 0, 0): Fraction(1)}
+                terms.update((exps, Fraction(1)) for exps in structural)
+                for exps in randoms:
+                    last = max(i for i, e in enumerate(exps) if e)
+                    terms[tuple(e + offset * (i == last) for i, e in enumerate(exps))] = _coeff(rng)
+                instances.append(
+                    CorpusInstance(
+                        label=f"{kind} offset {offset} draw {draw}",
+                        polynomial=Polynomial(terms),
+                        kind=kind,
+                    )
                 )
-            )
-    for offset in range(3):
-        for draw in range(3):
-            k = 5 + offset
-            terms = {
-                (2, 0, 0, 0): Fraction(1),
-                (0, 3, 0, 0): Fraction(1),
-                (0, 1, 3, 0): Fraction(1),
-                (0, 0, 0, 5 + offset): _coeff(rng),
-                (0, 0, 1, 4 + offset): _coeff(rng),
-                (0, 0, k, 0): _coeff(rng),
-                (0, 1, 0, 4 + offset): _coeff(rng),
-                (0, 1, 1, 3 + offset): _coeff(rng),
-            }
-            instances.append(
-                CorpusInstance(
-                    label=f"cE7 offset {offset} draw {draw}",
-                    polynomial=Polynomial(terms),
-                    kind="cE7",
-                )
-            )
-    for offset in range(3):
-        for draw in range(3):
-            terms = {
-                (2, 0, 0, 0): Fraction(1),
-                (0, 3, 0, 0): Fraction(1),
-                (0, 0, 5, 0): Fraction(1),
-                (0, 0, 0, 5 + offset): _coeff(rng),
-                (0, 0, 1, 4 + offset): _coeff(rng),
-                (0, 0, 2, 3 + offset): _coeff(rng),
-                (0, 0, 3, 2 + offset): _coeff(rng),
-                (0, 1, 0, 4 + offset): _coeff(rng),
-                (0, 1, 1, 3 + offset): _coeff(rng),
-                (0, 1, 2, 2 + offset): _coeff(rng),
-                (0, 1, 3, 1 + offset): _coeff(rng),
-            }
-            instances.append(
-                CorpusInstance(
-                    label=f"cE8 offset {offset} draw {draw}",
-                    polynomial=Polynomial(terms),
-                    kind="cE8",
-                )
-            )
     return instances
 
 

@@ -9,9 +9,8 @@ from cdvdiv.catalog import (
     CE8_SCAN_SURPLUS,
     _allowed_families,
     _conditions_cd,
-    _conditions_ce6,
     _conditions_ce7,
-    _conditions_ce8,
+    _conditions_ce_pure,
     _default_bound,
     _scan,
     catalog_correspondence,
@@ -188,11 +187,11 @@ def literal_scan(kind, bound):
     if kind.kind == "cD":
         check = lambda m, w: _conditions_cd(kind.n, m, w)  # noqa: E731
     elif kind.kind == "cE6":
-        check = _conditions_ce6
+        check = lambda m, w: _conditions_ce_pure(4, m, w)  # noqa: E731
     elif kind.kind == "cE7":
         check = _conditions_ce7
     elif kind.kind == "cE8":
-        check = _conditions_ce8
+        check = lambda m, w: _conditions_ce_pure(5, m, w)  # noqa: E731
     else:
         raise ValueError(f"no quadruple catalog for type {kind.label()}")
     results = []

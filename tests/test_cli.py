@@ -42,6 +42,38 @@ class TestClassifyCommand:
         assert status == EXIT_INPUT_ERROR
         assert "position" in err
 
+    def test_directory_input(self, tmp_path):
+        for command in ("classify", "analyze"):
+            status, out, err = run_config(RunConfig(command=command, input_path=str(tmp_path)))
+            assert status == EXIT_INPUT_ERROR
+            assert out == ""
+            assert err.startswith(f"error: cannot read {tmp_path}")
+
+    def test_non_utf8_input(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("x^2 + y^3 + z^4 + t^4 \u00e9".encode("latin-1"))
+        status, out, err = run_config(RunConfig(command="analyze", input_path=str(path)))
+        assert status == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}")
+        assert "utf-8" in err
+
+    def test_truncation_below_one(self, tmp_path):
+        path = write_input(tmp_path, "x^2 + y^3 + z^4 + t^4")
+        for command in ("classify", "analyze"):
+            for truncation in (0, -3):
+                status, out, err = run_config(
+                    RunConfig(command=command, input_path=path, truncation=truncation)
+                )
+                assert status == EXIT_INPUT_ERROR
+                assert out == ""
+                assert err == f"error: --truncation must be at least 1, not {truncation}\n"
+
+    def test_positive_truncation_is_accepted(self, tmp_path):
+        path = write_input(tmp_path, "x^2 + y^3 + z^4 + t^4")
+        status, out, err = run_config(RunConfig(command="classify", input_path=path, truncation=4))
+        assert (status, out.strip(), err) == (EXIT_OK, "cE6", "")
+
 
 class TestAnalyzeCommand:
     def test_cd4_text(self, tmp_path):
@@ -180,3 +212,10 @@ class TestMainEntry:
         status = main(["classify", "--input", path])
         assert status == EXIT_OK
         assert capsys.readouterr().out.strip() == "cE6"
+
+    def test_main_rejects_unreadable_input_and_bad_truncation(self, tmp_path, capsys):
+        assert main(["analyze", "--input", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert "cannot read" in capsys.readouterr().err
+        path = write_input(tmp_path, "x^2 + y^3 + z^4 + t^4")
+        assert main(["analyze", "--input", path, "--truncation", "0"]) == EXIT_INPUT_ERROR
+        assert "--truncation must be at least 1" in capsys.readouterr().err

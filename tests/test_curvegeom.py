@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cdvdiv import curvegeom
+from cdvdiv import newton
 from cdvdiv.blowup import Weight
 from cdvdiv.curvegeom import (
     LatticePolygon,
@@ -242,7 +242,7 @@ class TestClassifyRationality:
 
     def test_undecided_chart_downgrades_to_undecided(self, monkeypatch):
         undecided = FaceVerdict(UNDECIDED, "undecided (dimension 2): ...")
-        monkeypatch.setattr(curvegeom, "singular_torus_search", lambda g: undecided)
+        monkeypatch.setattr(newton, "singular_torus_search", lambda g: undecided)
         result = classify_rationality(
             P("y^2*z + 2*y*z^4 + z^7 + t^9"),
             face_dimension=2,

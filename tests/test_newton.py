@@ -1,18 +1,21 @@
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
-from cdvdiv import newton
+from cdvdiv import curvegeom, newton
 from cdvdiv.lp import minimal_points
 from cdvdiv.newton import (
     AXES,
     DEGENERATE,
     NONDEGENERATE_CERTIFIED,
     Face,
+    FaceVerdict,
     _affine_rank,
     _cross4,
     _dot,
@@ -20,11 +23,13 @@ from cdvdiv.newton import (
     build_diagram,
     check_nondegeneracy,
     face_polynomial,
+    polygon_nondegeneracy,
     singular_torus_search,
     support_value,
 )
-from cdvdiv.pipeline import generate_corpus
+from cdvdiv.pipeline import AnalyzeOptions, analyze, generate_corpus
 from cdvdiv.poly import Polynomial, grlex_key, parse_polynomial
+from test_factorize import FALLBACK, PLANTED, POLYGONS
 
 EXAMPLE_CD4 = parse_polynomial("x^2 + y^2*z + z^3 + t^3")
 EXAMPLE_CE8 = parse_polynomial("x^2 + y^3 + z^5 + t^15")
@@ -426,3 +431,124 @@ class TestNondegeneracy:
         assert len(results) == len(d.faces)
         for _face, verdict in results:
             assert verdict.status == NONDEGENERATE_CERTIFIED
+
+
+# ---------------------------------------------------------------------------
+# The polygon test against the pairwise edge rule and the chart loop
+# ---------------------------------------------------------------------------
+
+
+def pairwise_polygon_edges(support):
+    """The projection coordinates and the edges of conv(support), a polygon.
+
+    A line through two projected points is an edge's line iff no point lies
+    strictly on each side of it (the former `factorize._polygon_edges`).
+    """
+    i, j = next(
+        (i, j)
+        for i, j in itertools.combinations(range(4), 2)
+        if _affine_rank([(p[i], p[j], 0, 0) for p in support]) == 2
+    )
+    plane = [(p[i], p[j]) for p in support]
+    edges = set()
+    for (ax, ay), (bx, by) in itertools.combinations(plane, 2):
+        sides = [(bx - ax) * (qy - ay) - (by - ay) * (qx - ax) for qx, qy in plane]
+        if min(sides) >= 0 or max(sides) <= 0:
+            edges.add(frozenset(p for p, side in zip(support, sides) if not side))
+    return (i, j), edges
+
+
+def counterclockwise_edges(support):
+    """The pairwise edges, chained tail to head from the least projected vertex."""
+    (i, j), edges = pairwise_polygon_edges(support)
+    plane = [(p[i], p[j]) for p in support]
+    by_tail = {}
+    for edge in edges:
+        ends = sorted((p[i], p[j]) for p in edge)
+        a, b = ends[0], ends[-1]
+        sides = [(b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) for q in plane]
+        if min(sides) < 0:  # the polygon lies to the left of a walk from a to b
+            a, b = b, a
+        by_tail[a] = (b, edge)
+    walk, tail = [], min(plane)
+    while len(walk) < len(by_tail):
+        tail, edge = by_tail[tail]
+        walk.append(edge)
+    return walk
+
+
+def chart_loop_verdict(g):
+    """The worst verdict over g and every edge in counterclockwise order."""
+    pieces = [g] + [
+        Polynomial({p: g.coefficient(p) for p in edge})
+        for edge in counterclockwise_edges(g.support())
+    ]
+    worst = FaceVerdict(NONDEGENERATE_CERTIFIED, "all polygon pieces certified")
+    for piece in pieces:
+        verdict = singular_torus_search(piece)
+        if verdict.status == DEGENERATE:
+            return verdict
+        if verdict.status != NONDEGENERATE_CERTIFIED:
+            worst = verdict
+    return worst
+
+
+# the chart curve of the golden `chart_degenerate` report, with witness z = 1/4
+GOLDEN_DEGENERATE_CHART = parse_polynomial("256*z^4 + 256*x^2 - 96*z^2 + 32*z - 3")
+
+FACTORIZE_POLYGONS = [
+    f
+    for f in POLYGONS + PLANTED + [parse_polynomial(s) for s in FALLBACK]
+    if _affine_rank(f.support()) == 2
+]
+
+
+class TestPolygonNondegeneracy:
+    @pytest.mark.parametrize(
+        "g", FACTORIZE_POLYGONS, ids=[f"polygon{i}" for i in range(len(FACTORIZE_POLYGONS))]
+    )
+    def test_factorize_polygons_match_the_chart_loop(self, g):
+        assert polygon_nondegeneracy(g) == chart_loop_verdict(g)
+
+    def test_factorize_polygons_reach_every_verdict(self):
+        statuses = {polygon_nondegeneracy(g).status for g in FACTORIZE_POLYGONS}
+        assert statuses == {NONDEGENERATE_CERTIFIED, DEGENERATE, newton.UNDECIDED}
+
+    def test_first_degenerate_edge_counterclockwise(self):
+        # Edges (x - y)^2 and (y + 2z)^2 are both degenerate; counterclockwise
+        # in (x, y) from z^2 the walk meets x^2 + 4z^2, then (x - y)^2.
+        g = parse_polynomial("x^2 - 2*x*y + y^2 + 4*y*z + 4*z^2")
+        verdict = polygon_nondegeneracy(g)
+        assert verdict == chart_loop_verdict(g)
+        assert verdict == singular_torus_search(parse_polynomial("x^2 - 2*x*y + y^2"))
+
+    def test_golden_degenerate_chart(self):
+        verdict = polygon_nondegeneracy(GOLDEN_DEGENERATE_CHART)
+        assert verdict == chart_loop_verdict(GOLDEN_DEGENERATE_CHART)
+        assert verdict.status == DEGENERATE
+        assert verdict.detail == (
+            "exact (dimension 1): h(z) = g has the repeated factor 16*z^2 - 8*z + 1"
+        )
+        assert verdict.witness.point == (Fraction(1, 4),)
+
+    def test_workload_chart_curves_match_the_chart_loop(self, monkeypatch):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        from workloads import analyze_inputs
+
+        charts = []
+        real = curvegeom.chart_nondegeneracy
+        monkeypatch.setattr(
+            curvegeom, "chart_nondegeneracy", lambda g2: charts.append(g2) or real(g2)
+        )
+        germs = [instance.polynomial for instance in generate_corpus(seed=0)]
+        germs += [inp.polynomial for inp in analyze_inputs(0, tiny=False)]
+        for f in germs:
+            analyze(f, AnalyzeOptions(check_faces=False))
+        assert len(charts) >= 50
+        for g in charts:
+            assert polygon_nondegeneracy(g) == chart_loop_verdict(g), g
+
+    def test_rank_other_than_two_is_refused(self):
+        for text in ("z^2 - 2*z*t + t^2", "x^2 + y^3 + z^5 + t^7"):
+            with pytest.raises(ValueError, match="affine rank 2"):
+                polygon_nondegeneracy(parse_polynomial(text))
