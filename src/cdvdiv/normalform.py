@@ -175,6 +175,11 @@ def replay(original: Polynomial, certificate: NormalFormCertificate) -> Polynomi
 
 class _Reducer:
     def __init__(self, f: Polynomial, truncation: int):
+        if truncation < f.min_degree():
+            raise ValueError(
+                f"truncation degree {truncation} is below the order "
+                f"{f.min_degree()} of the germ, so it drops every term"
+            )
         self.current = f.truncate(truncation)
         self.truncation = truncation
         self.changes: List[Substitution] = []
@@ -367,7 +372,10 @@ def _cubic_part(f: Polynomial) -> Polynomial:
 
 def _linear_change(red: _Reducer, rows: List[List[Fraction]]) -> None:
     """Change (y, z, t) so that the form with coefficients rows[i] becomes
-    the (i+1)-th variable; rows must be an invertible 3x3 matrix."""
+    the (i+1)-th variable; rows must be an invertible 3x3 matrix.  The
+    identity changes nothing, so it is not inverted."""
+    if all(rows[i][k] == (i == k) for i in range(3) for k in range(3)):
+        return
     inv = _invert3(rows)
     repls = [Polynomial.variable("x")]
     for i in range(3):

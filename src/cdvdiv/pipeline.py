@@ -2,12 +2,17 @@
 
 analyze() chains the whole machinery: normal-form reduction, Newton diagram,
 discrepancy-1 weight enumeration, component decomposition of each
-exceptional surface, and the rationality cascade per component.  The result
-carries one report per component (plus per-weight bookkeeping for weights
-whose face polynomial is purely toric) and a uniqueness summary: at most one
-non-rational discrepancy-1 component may appear over a non-degenerate cD/cE
-point, so a higher count is flagged as a diagnostic rather than silently
-accepted.
+exceptional surface, and the rationality cascade per component.  The
+exceptional divisor of sigma_w is cut out by the face polynomial of w, so its
+components and its non-degeneracy depend only on the compact face: weights
+on one face share one factorization and one face check, while the
+rationality verdicts, the discrepancy and the warnings stay per weight.
+
+The result carries one report per component (plus per-weight bookkeeping for
+weights whose face polynomial is purely toric) and a uniqueness summary: at
+most one non-rational discrepancy-1 component may appear over a
+non-degenerate cD/cE point, so a higher count is flagged as a diagnostic
+rather than silently accepted.
 
 run_corpus() drives the same pipeline over a seeded family of normal-form
 instances (all cD_n for n in 4..12 and the three cE shapes, with exponent
@@ -20,14 +25,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from cdvdiv.blowup import (
     ExceptionalSurface,
+    Factorization,
     Weight,
+    decompose_components,
     discrepancy,
     enumerate_weights,
-    exceptional_surface,
 )
 from cdvdiv.catalog import candidate_weights
 from cdvdiv.curvegeom import (
@@ -44,6 +50,7 @@ from cdvdiv.newton import (
     FaceVerdict,
     NewtonDiagram,
     build_diagram,
+    face_polynomial,
     singular_torus_search,
 )
 from cdvdiv.normalform import (
@@ -128,6 +135,12 @@ class AnalysisResult:
 def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisResult:
     """Full pipeline on one input polynomial.
 
+    The face polynomial of each compact face that a discrepancy-1 weight
+    minimizes is built once from the face's lattice points, factored once
+    and, with `check_faces`, checked for non-degeneracy once; every weight on
+    that face reuses them in its own ExceptionalSurface, while its
+    rationality verdicts, discrepancies and face warnings are its own.
+
     Sub-operation failures (reduction, factorization) surface as per-weight
     warnings where possible; input errors (zero polynomial, nonzero constant
     term, infinitely many discrepancy-1 candidates, and, checked after the
@@ -168,13 +181,32 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
         )
     reports: List[WeightReport] = []
     non_rational = 0
+    # face polynomial, decomposition and verdict per compact face met so far
+    by_face: Dict[tuple, Tuple[Polynomial, Factorization, Optional[FaceVerdict]]] = {}
     for w in weights:
         face = diagram.face_of_weight(w.w)
         face_dim = face.dimension if face is not None else -1
-        surface = exceptional_surface(g, w)
-        face_verdict = None
-        if options.check_faces:
-            face_verdict = singular_torus_search(surface.equation)
+        key = face.lattice_points if face is not None else w.w
+        if key not in by_face:
+            equation = (
+                Polynomial({v: g.coefficient(v) for v in face.lattice_points})
+                if face is not None
+                else face_polynomial(g, w.w)
+            )
+            by_face[key] = (
+                equation,
+                decompose_components(equation),
+                singular_torus_search(equation) if options.check_faces else None,
+            )
+        equation, decomposition, face_verdict = by_face[key]
+        surface = ExceptionalSurface(
+            ambient_weights=w,
+            equation=equation,
+            constant=decomposition.constant,
+            toric_content=decomposition.content,
+            components=decomposition.components,
+        )
+        if face_verdict is not None:
             if face_verdict.status == DEGENERATE:
                 warnings.append(
                     f"face polynomial of weight {w} is degenerate; "

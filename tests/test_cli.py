@@ -69,6 +69,25 @@ class TestClassifyCommand:
                 assert out == ""
                 assert err == f"error: --truncation must be at least 1, not {truncation}\n"
 
+    def test_truncation_below_the_order(self, tmp_path):
+        # every term of the germ has degree >= 2, so degree 1 drops them all
+        path = write_input(tmp_path, "x^2 + y^3 + z^4 + t^4")
+        for command in ("classify", "analyze"):
+            status, out, err = run_config(
+                RunConfig(command=command, input_path=path, truncation=1)
+            )
+            assert status == EXIT_INPUT_ERROR
+            assert out == ""
+            assert err == (
+                "error: truncation degree 1 is below the order 2 of the germ, "
+                "so it drops every term\n"
+            )
+
+    def test_truncation_at_the_order_is_accepted(self, tmp_path):
+        path = write_input(tmp_path, "x^3 + y^3 + z^3 + t^4")
+        status, out, err = run_config(RunConfig(command="classify", input_path=path, truncation=3))
+        assert (status, out.strip(), err) == (EXIT_OK, "other", "")
+
     def test_positive_truncation_is_accepted(self, tmp_path):
         path = write_input(tmp_path, "x^2 + y^3 + z^4 + t^4")
         status, out, err = run_config(RunConfig(command="classify", input_path=path, truncation=4))
@@ -219,3 +238,11 @@ class TestMainEntry:
         path = write_input(tmp_path, "x^2 + y^3 + z^4 + t^4")
         assert main(["analyze", "--input", path, "--truncation", "0"]) == EXIT_INPUT_ERROR
         assert "--truncation must be at least 1" in capsys.readouterr().err
+
+    def test_main_rejects_truncation_below_the_order(self, tmp_path, capsys):
+        path = write_input(tmp_path, "x^2 + y^3 + z^4 + t^4")
+        for command in ("classify", "analyze"):
+            assert main([command, "--input", path, "--truncation", "1"]) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "below the order 2 of the germ" in captured.err

@@ -196,6 +196,18 @@ class TestEliminationRows:
         assert again.applied_changes == ()
 
 
+class TestLinearChange:
+    def test_double_line_cubic_needs_a_real_change(self):
+        # The cubic y^2*z + 2*y*z^2 + z^3 = z*(y + z)^2 has the double line
+        # y + z, which the linear change y <- y - z moves onto y; the second
+        # change, the cofactor z onto z, is the identity and is skipped.
+        f = P("x^2 + y^2*z + 2*y*z^2 + z^3 + z^6 + t^6")
+        cert = reduce_to_normal_form(f)
+        assert cert.type.label() == "cD_7"
+        assert [change.describe() for change in cert.applied_changes] == ["y <- y - z"]
+        assert replay(f, cert) == cert.reduced == P("x^2 + y^2*z + z^6 + t^6")
+
+
 class TestExposeStructuralMonomial:
     """A missing structural monomial is exposed by the z <-> t swap, or else by
     the first shear t <- t + lam*z that keeps the preserved monomials."""

@@ -1,5 +1,10 @@
+import sys
+from pathlib import Path
+
 import pytest
 
+from cdvdiv.blowup import exceptional_surface
+from cdvdiv.newton import face_polynomial, singular_torus_search
 from cdvdiv.pipeline import (
     AnalyzeOptions,
     CorpusResult,
@@ -230,3 +235,67 @@ class TestCorpus:
         assert result.max_non_rational <= 1
         assert result.violations == 0
         assert result.ok
+
+
+def _workload_germs(workload):
+    """The seed-0 corpus germs, or the seed-0 `analyze` workload germs (the
+    worked examples and the large-exponent cD/cE germs)."""
+    if workload == "corpus":
+        return [instance.polynomial for instance in generate_corpus(seed=0)]
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    from workloads import analyze_inputs
+
+    return [inp.polynomial for inp in analyze_inputs(0, tiny=False)]
+
+
+def _face_key(analysis, w):
+    face = analysis.diagram.face_of_weight(w.w)
+    return face.lattice_points if face is not None else w.w
+
+
+class TestFaceSharing:
+    """Weights on one compact face share its factorization and face check."""
+
+    @pytest.mark.parametrize("workload, check_faces", [("corpus", False), ("analyze", True)])
+    def test_each_weight_matches_its_own_analysis(self, workload, check_faces):
+        for f in _workload_germs(workload):
+            analysis = analyze(f, AnalyzeOptions(check_faces=check_faces))
+            g = analysis.analyzed_polynomial
+            for wr in analysis.weight_reports:
+                assert wr.surface == exceptional_surface(g, wr.weight)
+                assert wr.face_verdict == (
+                    singular_torus_search(face_polynomial(g, wr.weight.w))
+                    if check_faces
+                    else None
+                )
+                for comp in wr.components:
+                    assert comp.face_polynomial == wr.surface.equation
+
+    @pytest.mark.parametrize(
+        "workload, check_faces, weights, faces",
+        [("corpus", False, 828, 456), ("analyze", True, 511, 189)],
+    )
+    def test_one_factorization_and_check_per_face(
+        self, monkeypatch, workload, check_faces, weights, faces
+    ):
+        from cdvdiv import blowup, pipeline
+
+        factored, checked = [], []
+        real_factors, real_search = blowup.rational_factors, pipeline.singular_torus_search
+        monkeypatch.setattr(
+            blowup, "rational_factors", lambda g: factored.append(g) or real_factors(g)
+        )
+        monkeypatch.setattr(
+            pipeline, "singular_torus_search", lambda g: checked.append(g) or real_search(g)
+        )
+        total_weights = total_faces = 0
+        for f in _workload_germs(workload):
+            factored.clear()
+            checked.clear()
+            analysis = analyze(f, AnalyzeOptions(check_faces=check_faces))
+            distinct = len({_face_key(analysis, wr.weight) for wr in analysis.weight_reports})
+            assert len(factored) == distinct
+            assert len(checked) == (distinct if check_faces else 0)
+            total_weights += len(analysis.weight_reports)
+            total_faces += distinct
+        assert (total_weights, total_faces) == (weights, faces)
