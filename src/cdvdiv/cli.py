@@ -25,11 +25,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from cdvdiv.blowup import Weight, enumerate_weights
+from cdvdiv.blowup import Weight
 from cdvdiv.catalog import candidate_weights, catalog_correspondence, lemma_quadruples
 from cdvdiv.newton import build_diagram, check_nondegeneracy, support_value
 from cdvdiv.normalform import SingularityType, classify_type
-from cdvdiv.pipeline import AnalyzeOptions, analyze, run_corpus
+from cdvdiv.pipeline import AnalyzeOptions, analyze, germ_weights, run_corpus
 from cdvdiv.poly import ParseError, Polynomial, parse_polynomial, pretty
 
 SCHEMA_VERSION = "2"
@@ -249,8 +249,7 @@ def _cmd_diagram(config: RunConfig) -> Dict[str, Any]:
 def _cmd_weights(config: RunConfig) -> Dict[str, Any]:
     f = _load_polynomial(config)
     try:
-        diagram = build_diagram(f)
-        weights = enumerate_weights(diagram)
+        diagram, weights = germ_weights(f)
     except ValueError as err:
         raise InputError(str(err)) from err
     return {

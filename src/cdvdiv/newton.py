@@ -11,14 +11,21 @@ vectors.  Enumeration is brute force and exact:
      minimal points); their integer normals come from the generalized
      cross product in Z^4.  The polyhedron is bounded below only along
      non-negative normals, so a normal with a negative entry is negated,
-     and dropped if it still has one or is zero;
+     and dropped if it still has one or is zero.  The four coordinate
+     facets (r = 0) are written down directly; a set R onto which some
+     support point collapses to 0 is skipped, since a face with normal
+     zero exactly on R then lies in the span of R; and the compact facets
+     (r = 3) are spanned from the minimal points that lie strictly inside
+     no segment between two others, which keeps every vertex;
   2. a non-negative normal whose plane has no support point below it
      supports the polyhedron, and it is a facet: the spanning vectors are
      independent and lie in the plane;
   3. every proper face is an intersection of facets, so one pass over the
-     facets, intersecting each with every face found so far, yields the
-     whole face lattice, and the faces with no recession direction are the
-     compact ones.
+     facets, intersecting each with every face found so far as bitmasks
+     over the minimal points and the axes, yields the whole face lattice,
+     and the faces with no recession direction are the compact ones.  The
+     face lattice of a polytope is graded, so a compact face's dimension
+     is one more than the largest among its proper compact subfaces.
 
 Each compact face stores a canonical witness weight (an interior point of
 its normal cone, obtained as the primitive sum of the normals of all facets
@@ -160,13 +167,37 @@ def _facets(support: Sequence[ExponentVector]):
     no-point-below test runs over the whole support.  A nonzero cross
     product makes the r directions and R independent, and they lie in the
     plane, so the tight set of a plane that passes the test has rank 3.
+
+    Three shortcuts keep the result and skip cross products:
+
+      * at r = 0 the facets are the four coordinate facets x_i = min x_i;
+      * at r >= 1 a set R is skipped when some support point vanishes off
+        R: then 0 is the only minimal point of pi(support), and a face with
+        normal zero exactly on R lies in the span of R, of dimension 3 - r;
+      * at r = 3 (R empty, a compact facet) the pool loses every point
+        strictly inside a segment between two other pool points
+        (`_inside_segments`).  Such a point is no vertex, every vertex of
+        a compact facet is a vertex of the polyhedron, and the facet is
+        spanned by 4 of its vertices.
     """
     facets: Dict[Tuple[int, ...], Tuple[FrozenSet[ExponentVector], FrozenSet[int]]] = {}
-    for r in range(4):  # r + 1 spanning points, 3 - r spanning rays
+    for i, axis in enumerate(AXES):  # r = 0: three spanning rays
+        low = min(p[i] for p in support)
+        facets[axis] = (
+            frozenset(p for p in support if p[i] == low),
+            frozenset(j for j in range(4) if j != i),
+        )
+    for r in (1, 2, 3):  # r + 1 spanning points, 3 - r spanning rays
         for R in itertools.combinations(range(4), 3 - r):
+            off = [i for i in range(4) if i not in R]
+            if any(not any(p[i] for i in off) for p in support):
+                continue  # pi(support) has the single minimal point 0
             pool = minimal_points(
                 [tuple(0 if i in R else a for i, a in enumerate(p)) for p in support]
             )
+            if r == 3:
+                inside = _inside_segments(pool)
+                pool = [p for p in pool if p not in inside]
             rays = [AXES[i] for i in R]
             for base, *rest in itertools.combinations(pool, r + 1):
                 w = _cross4(*(_sub(p, base) for p in rest), *rays)
@@ -187,6 +218,28 @@ def _facets(support: Sequence[ExponentVector]):
     return facets
 
 
+def _inside_segments(pool: Sequence[ExponentVector]) -> set:
+    """The points of pool strictly inside a segment between two others.
+
+    p is one exactly when two other points q, q' leave p in opposite
+    primitive directions, so one pass over the directions from each p finds
+    them all: O(n^2) gcds for n points.
+    """
+    inside = set()
+    for p in pool:
+        seen = set()
+        for q in pool:
+            d = _sub(q, p)
+            g = gcd(*d)
+            if not g:
+                continue  # q is p
+            if (-d[0] // g, -d[1] // g, -d[2] // g, -d[3] // g) in seen:
+                inside.add(p)
+                break
+            seen.add((d[0] // g, d[1] // g, d[2] // g, d[3] // g))
+    return inside
+
+
 def build_diagram(f: Polynomial) -> NewtonDiagram:
     """Vertices and compact faces of the Newton polyhedron of f.
 
@@ -196,23 +249,40 @@ def build_diagram(f: Polynomial) -> NewtonDiagram:
     dropping it leaves the polyhedron unchanged, and it lies on no compact
     face, because w.p > w.q for every strictly positive w.  The witness
     check still runs over the whole support.
+
+    Faces are intersected as bitmasks over the minimal points (tight
+    points) and over the axes (tight rays), and a face's witness normals
+    are the facets whose mask contains its own.  A compact face is a
+    polytope whose faces are the compact faces inside it, and the face
+    lattice of a polytope is graded, so its dimension is 1 + the largest
+    dimension of its proper subfaces, and 0 for a vertex, which has none.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton diagram")
     support = f.support()
-    facets = _facets(minimal_points(support))
+    points = minimal_points(support)
+    bit = {p: 1 << k for k, p in enumerate(points)}
+    facets = [
+        (sum(bit[p] for p in pts), sum(1 << i for i in rays), w)
+        for w, (pts, rays) in _facets(points).items()
+    ]
 
     # After facet k, faces holds every nonempty intersection of facets 1..k.
     faces = set()
-    for pts, rays in facets.values():
+    for pts, rays, _w in facets:
         faces |= {(pts & a, rays & b) for a, b in faces if pts & a}
         faces.add((pts, rays))
 
-    compact = [pts for pts, rays in faces if not rays]
+    dimension: Dict[int, int] = {}
     face_objs: List[Face] = []
-    for pts in compact:
+    for mask in sorted((pts for pts, rays in faces if not rays), key=int.bit_count):
+        # the proper subfaces have fewer points and come first
+        dimension[mask] = 1 + max(
+            (d for sub, d in dimension.items() if sub & mask == sub), default=-1
+        )
+        pts = frozenset(p for p in points if bit[p] & mask)
         sorted_pts = tuple(sorted(pts, key=grlex_key))
-        normals = [w for w, (fpts, _frays) in facets.items() if pts <= fpts]
+        normals = [w for fmask, _rays, w in facets if fmask & mask == mask]
         witness = _primitive([sum(col) for col in zip(*normals)])
         if any(c <= 0 for c in witness):
             raise AssertionError(f"non-positive witness {witness} for face {sorted_pts}")
@@ -220,7 +290,7 @@ def build_diagram(f: Polynomial) -> NewtonDiagram:
         argmin = frozenset(v for v in support if _dot(witness, v) == m)
         if argmin != pts:
             raise AssertionError(f"witness {witness} does not cut out face {sorted_pts}")
-        face_objs.append(Face(_affine_rank(sorted_pts), sorted_pts, witness))
+        face_objs.append(Face(dimension[mask], sorted_pts, witness))
     face_objs.sort(key=lambda face: (face.dimension, face.lattice_points))
     vertices = tuple(face.lattice_points[0] for face in face_objs if face.dimension == 0)
     return NewtonDiagram(source=f, vertices=vertices, faces=tuple(face_objs))

@@ -52,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from cdvdiv.factorize import rational_factors
 from cdvdiv.lp import max_weight_sum, minimal_points
@@ -192,6 +192,9 @@ class _Reducer:
         # Set when the verdict rests on everything above the truncation
         # being absent: the residual of a rank >= 2 quadratic part vanished.
         self.residual_cut = False
+        # The input's minimal points and their bounded S_max, when
+        # `_start_degree` solved for them: `_certify` reuses it.
+        self.input_s_max: Optional[Tuple[FrozenSet[ExponentVector], Fraction]] = None
 
     def apply(self, sub: Substitution) -> None:
         if self.budget <= 0:
@@ -810,14 +813,19 @@ def _finish_ce(red: _Reducer, kind: str, struct: ExponentVector) -> _Verdict:
     return sig, checks
 
 
+def check_origin(f: Polynomial) -> None:
+    """Raise ValueError unless f is nonzero and vanishes at the origin."""
+    if f.is_zero():
+        raise ValueError("the zero polynomial does not define a hypersurface germ")
+    if f.coefficient(ZERO_EXPONENT) != 0:
+        raise ValueError("nonzero constant term: the origin is not on the hypersurface")
+
+
 def _analyze_germ(
     f: Polynomial, truncation: int
 ) -> Tuple[SingularityType, List[ConstraintCheck], _Reducer]:
     """(type, shape checks, reducer); the checks are empty unless cD/cE."""
-    if f.is_zero():
-        raise ValueError("the zero polynomial does not define a hypersurface germ")
-    if f.coefficient((0, 0, 0, 0)) != 0:
-        raise ValueError("nonzero constant term: the origin is not on the hypersurface")
+    check_origin(f)
     linear = _part(f, lambda e: total_degree(e) == 1)
     red = _Reducer(f, truncation)
     if not linear.is_zero():
@@ -869,8 +877,18 @@ _TYPE_JET_DEGREE = 5
 
 
 def _certify(red: _Reducer) -> Tuple[Optional[Fraction], bool]:
-    """(S_max of the reduced form, whether it certifies red.truncation)."""
-    s_max = max_weight_sum(red.current.support())
+    """(S_max of the reduced form, whether it certifies red.truncation).
+
+    S_max depends on the minimal points alone, so a reduced form with the
+    input's minimal points takes the input's bounded S_max
+    (`red.input_s_max`) instead of solving the same LP again.
+    """
+    minimal = minimal_points(red.current.support())
+    known = red.input_s_max
+    if known is not None and known[0] == frozenset(minimal):
+        s_max: Optional[Fraction] = known[1]
+    else:
+        s_max = max_weight_sum(minimal)
     certified = (
         s_max is not None
         and s_max <= red.truncation + 2
@@ -879,22 +897,27 @@ def _certify(red: _Reducer) -> Tuple[Optional[Fraction], bool]:
     return s_max, certified
 
 
-def _start_degree(f: Polynomial, ceiling: int) -> int:
+def _start_degree(
+    f: Polynomial, ceiling: int
+) -> Tuple[int, Optional[Tuple[FrozenSet[ExponentVector], Fraction]]]:
     """ceil(S_max) - 2 over the input's own support (deg f when that is
     unbounded, the ceiling when it is empty: a smooth point), raised to the
-    input's lowest pure power of each variable.
+    input's lowest pure power of each variable; and the input's minimal
+    points with their S_max when it is bounded, for `_certify`.
 
     A pure power is a vertex of the Newton polyhedron; keeping it keeps the
     diagram of a normal-form input whole, although no discrepancy-1 weight
     sees it (x^2 + y^3 + z^4 + t^14 certifies at D = 12).
     """
     if f.min_degree() < 2:
-        return ceiling
-    s_max = max_weight_sum(f.support())
+        return ceiling, None
+    minimal = minimal_points(f.support())
+    s_max = max_weight_sum(minimal)
     start = f.degree() if s_max is None else ceil(s_max) - 2
     # The lowest pure power of a variable is a minimal point, the others not.
-    pure = [sum(e) for e in minimal_points(f.support()) if sum(map(bool, e)) == 1]
-    return min(ceiling, max([start, *pure]))
+    pure = [sum(e) for e in minimal if sum(map(bool, e)) == 1]
+    known = None if s_max is None else (frozenset(minimal), s_max)
+    return min(ceiling, max([start, *pure])), known
 
 
 def _reduce(f: Polynomial, truncation: Optional[int]):
@@ -912,7 +935,7 @@ def _reduce(f: Polynomial, truncation: Optional[int]):
     cA residual moves to the ceiling.
     """
     ceiling = default_truncation(f)
-    degree = truncation or _start_degree(f, ceiling)
+    degree, input_s_max = (truncation, None) if truncation else _start_degree(f, ceiling)
     while True:
         retry = not truncation and degree < ceiling
         try:
@@ -930,6 +953,7 @@ def _reduce(f: Polynomial, truncation: Optional[int]):
                 degree = ceiling
                 continue
             return germ_type, checks, red, None, False
+        red.input_s_max = input_s_max
         s_max, certified = _certify(red)
         if certified or not retry:
             if not certified:

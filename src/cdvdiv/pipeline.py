@@ -57,6 +57,7 @@ from cdvdiv.normalform import (
     NormalFormCertificate,
     ReductionError,
     SingularityType,
+    check_origin,
     default_truncation,
     reduce_to_normal_form,
 )
@@ -132,6 +133,31 @@ class AnalysisResult:
         ]
 
 
+def germ_weights(
+    f: Polynomial, g: Optional[Polynomial] = None
+) -> Tuple[NewtonDiagram, List[Weight]]:
+    """The Newton diagram of g (f when None) and its discrepancy-1 weights,
+    refusing an input f that is no isolated cDV germ.
+
+    g is f or its normal form.  Raises ValueError when f is zero or has a
+    nonzero constant term (`normalform.check_origin`), when the candidate
+    weights are infinitely many, and, checked after the weights, when a
+    variable occurs in no monomial of f, so that f and its partials vanish
+    on that variable's whole axis.
+    """
+    check_origin(f)
+    diagram = build_diagram(f if g is None else g)
+    weights = enumerate_weights(diagram)
+    present = f.variables_present()
+    missing = [v for v in VARS if v not in present]
+    if missing:
+        raise ValueError(
+            f"{missing[0]} occurs in no monomial, so the whole {missing[0]}-axis "
+            "is singular: not an isolated cDV point"
+        )
+    return diagram, weights
+
+
 def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisResult:
     """Full pipeline on one input polynomial.
 
@@ -142,13 +168,11 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
     rationality verdicts, discrepancies and face warnings are its own.
 
     Sub-operation failures (reduction, factorization) surface as per-weight
-    warnings where possible; input errors (zero polynomial, nonzero constant
-    term, infinitely many discrepancy-1 candidates, and, checked after the
-    weights, a variable in no monomial, on whose whole axis f and its
-    partials vanish) raise ValueError.
+    warnings where possible; the input errors of `germ_weights` raise
+    ValueError, a zero polynomial or nonzero constant term before the
+    reduction.
     """
-    if f.is_zero():
-        raise ValueError("input polynomial is zero")
+    check_origin(f)
     warnings: List[str] = []
     certificate: Optional[NormalFormCertificate] = None
     try:
@@ -170,15 +194,7 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
             warnings.append(
                 f"input is outside the certified cD/cE normal forms: {err}"
             )
-    diagram = build_diagram(g)
-    weights = enumerate_weights(diagram)
-    present = f.variables_present()
-    missing = [v for v in VARS if v not in present]
-    if missing:
-        raise ValueError(
-            f"{missing[0]} occurs in no monomial, so the whole {missing[0]}-axis "
-            "is singular: not an isolated cDV point"
-        )
+    diagram, weights = germ_weights(f, g)
     reports: List[WeightReport] = []
     non_rational = 0
     # face polynomial, decomposition and verdict per compact face met so far

@@ -170,6 +170,18 @@ class TestOtherCommands:
         assert out == ""
         assert "whole t-axis is singular" in err
 
+    def test_weights_refuses_what_analyze_refuses(self, tmp_path):
+        for text, message in (
+            ("1 + x^2 + y^2 + z^2 + t^2", "error: nonzero constant term"),
+            ("x^2 + y^2*z + z^20", "error: t occurs in no monomial"),
+        ):
+            path = write_input(tmp_path, text)
+            for command in ("weights", "analyze"):
+                status, out, err = run_config(RunConfig(command=command, input_path=path))
+                assert status == EXIT_INPUT_ERROR
+                assert out == ""
+                assert err.startswith(message)
+
     def test_lemmas_requires_type(self):
         status, _out, err = run_config(RunConfig(command="lemmas"))
         assert status == EXIT_INPUT_ERROR
@@ -246,3 +258,19 @@ class TestMainEntry:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "below the order 2 of the germ" in captured.err
+
+    def test_main_weights_refuses_what_analyze_refuses(self, tmp_path, capsys):
+        for text, message in (
+            ("0", "the zero polynomial does not define a hypersurface germ"),
+            ("1 + x^2 + y^2 + z^2 + t^2", "nonzero constant term"),
+            ("x^2 + y^2*z + z^20", "t occurs in no monomial"),
+        ):
+            path = write_input(tmp_path, text)
+            errors = []
+            for command in ("weights", "analyze"):
+                assert main([command, "--input", path]) == EXIT_INPUT_ERROR
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                errors.append(captured.err)
+            assert message in errors[0]
+            assert errors[0] == errors[1]

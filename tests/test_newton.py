@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -269,12 +270,58 @@ def dense_supports(rng, count):
     return cases
 
 
+def segment_supports(rng, count):
+    """Supports whose points sit on segments and triangles of other points.
+
+    Four corners, on one quasihomogeneous plane (every other case) or
+    anywhere, bring the lattice points strictly inside the segments between
+    them, integral points inside the triangle of the first three (on a
+    2-face when the corners share a facet), a point one unit above a
+    segment point and one more random point.
+    """
+    cases = []
+    while len(cases) < count:
+        if len(cases) % 2:
+            w = tuple(rng.randint(1, 4) for _ in range(4))
+            level = rng.randint(8, 18)
+            plane = [
+                v
+                for v in itertools.product(*(range(level // c + 1) for c in w))
+                if _dot(w, v) == level
+            ]
+            if len(plane) < 4:
+                continue
+            corners = rng.sample(plane, 4)
+        else:
+            corners = [tuple(rng.choice((0, 2, 4, 6)) for _ in range(4)) for _ in range(4)]
+        points = set(corners)
+        on_segments = []
+        for a, b in itertools.combinations(corners, 2):
+            d = [y - x for x, y in zip(a, b)]
+            g = math.gcd(*d)
+            on_segments += [tuple(x + j * c // g for x, c in zip(a, d)) for j in range(1, g)]
+        points.update(on_segments)
+        for i, j, k in itertools.product(range(1, 4), repeat=3):
+            total = [i * x + j * y + k * z for x, y, z in zip(*corners[:3])]
+            if all(c % (i + j + k) == 0 for c in total):
+                points.add(tuple(c // (i + j + k) for c in total))
+        if on_segments:
+            above = list(rng.choice(on_segments))
+            above[rng.randrange(4)] += 1
+            points.add(tuple(above))
+        points.add(tuple(rng.randint(0, 7) for _ in range(4)))
+        if len(points) <= 18:
+            cases.append(Polynomial({v: 1 for v in points}))
+    return cases
+
+
 ORACLE_SOURCES = {
     "few variables": lambda: supports_in_few_variables(random.Random(53), 160),
     "dominated": lambda: dominated_supports(random.Random(41), 40),
     "dense": lambda: dense_supports(random.Random(61), 24),
     "quasihomogeneous": lambda: quasihomogeneous_supports(random.Random(59), 60),
     "seed-0 corpus": lambda: [instance.polynomial for instance in generate_corpus(0)],
+    "segments": lambda: segment_supports(random.Random(67), 40),
 }
 
 
@@ -308,6 +355,39 @@ class TestFacetInvariant:
                     assert pts == {p for p in points if _dot(w, p) == level}
                     assert _affine_rank(sorted(pts), [AXES[i] for i in rays]) == 3
                     assert rays == {i for i in range(4) if w[i] == 0}
+
+
+class TestSegmentPrune:
+    """The compact-facet pool of `_facets` without points inside segments."""
+
+    @pytest.mark.parametrize("source", sorted(ORACLE_SOURCES))
+    def test_no_vertex_is_dropped(self, source):
+        dropped = 0
+        for f in ORACLE_SOURCES[source]():
+            vertices = set(build_diagram(f).vertices)
+            for points in (minimal_points(f.support()), f.support()):
+                inside = newton._inside_segments(points)
+                assert not inside & vertices
+                dropped += len(inside)
+        if source == "segments":
+            assert dropped >= 100
+
+    def test_inside_points_by_hand(self):
+        points = [(0, 0, 0, 4), (0, 0, 2, 2), (0, 0, 4, 0), (0, 0, 3, 2), (1, 1, 1, 1)]
+        # (0, 0, 3, 2) lies above a segment point, on no segment of two others
+        assert newton._inside_segments(points) == {(0, 0, 2, 2)}
+
+    def test_cross_products_on_the_seed_0_corpus(self, monkeypatch):
+        calls = []
+
+        def counting(*vectors):
+            calls.append(vectors)
+            return _cross4(*vectors)
+
+        monkeypatch.setattr(newton, "_cross4", counting)
+        for instance in generate_corpus(0):
+            build_diagram(instance.polynomial)
+        assert len(calls) == 1851  # 6,462 when every minimal point spans
 
 
 class TestAffineRank:
