@@ -9,7 +9,10 @@ Commands:
   corpus    - seeded uniqueness/genus property suite over normal forms
 
 The structured format is a single JSON document (schema_version "2") per
-run; the text format renders the same facts.  The only randomness is the
+run: exactly the text `json.dumps(document, indent=2)` would produce,
+written by this module's own encoder (`_json_text`), since `indent` makes
+the standard library fall back from its C encoder to a slower pure-Python
+one.  The text format renders the same facts.  The only randomness is the
 `corpus` family, seeded by --seed, so reports are byte-identical across
 runs with equal configuration.  Exit status: 0 success, 2 input error, 3
 when analyze detects a uniqueness violation.
@@ -18,14 +21,13 @@ when analyze detects a uniqueness violation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from cdvdiv.blowup import Weight
 from cdvdiv.catalog import candidate_weights, catalog_correspondence, lemma_quadruples
 from cdvdiv.newton import build_diagram, check_nondegeneracy, support_value
 from cdvdiv.normalform import SingularityType, classify_type
@@ -99,14 +101,10 @@ def _frac(q: Fraction) -> str:
     return str(q)
 
 
-def _weight(w: Weight) -> List[int]:
-    return list(w.w)
-
-
 def _polygon(polygon) -> Dict[str, Any]:
     return {
-        "vertices": [list(p) for p in polygon.vertices],
-        "interior_points": [list(p) for p in polygon.interior_points],
+        "vertices": polygon.vertices,
+        "interior_points": polygon.interior_points,
         "boundary_count": polygon.boundary_count,
         "doubled_area": polygon.doubled_area,
     }
@@ -116,7 +114,7 @@ def _verdict(verdict) -> Dict[str, Any]:
     doc: Dict[str, Any] = {"status": verdict.status, "detail": verdict.detail}
     if verdict.witness is not None:
         doc["witness"] = {
-            "variables": list(verdict.witness.variables),
+            "variables": verdict.witness.variables,
             "point": [_frac(c) for c in verdict.witness.point],
             "exact_over_rationals": verdict.witness.exact_over_rationals,
         }
@@ -138,7 +136,7 @@ def _certificate_doc(certificate) -> Optional[Dict[str, Any]]:
             {"name": check.name, "holds": check.holds}
             for check in certificate.satisfied_constraints
         ],
-        "notes": list(certificate.notes),
+        "notes": certificate.notes,
     }
 
 
@@ -146,11 +144,11 @@ def _analysis_doc(result) -> Dict[str, Any]:
     weight_docs = []
     for wr in result.weight_reports:
         entry: Dict[str, Any] = {
-            "weight": _weight(wr.weight),
+            "weight": wr.weight.w,
             "support_value": wr.support_value,
             "face_dimension": wr.face_dimension,
             "face_polynomial": pretty(wr.surface.equation),
-            "toric_content": list(wr.surface.toric_content),
+            "toric_content": wr.surface.toric_content,
             "constant": _frac(wr.surface.constant),
         }
         if wr.face_verdict is not None:
@@ -171,12 +169,12 @@ def _analysis_doc(result) -> Dict[str, Any]:
             if r.cone is not None:
                 cdoc["cone"] = {
                     "missing_variable": r.cone.missing_variable,
-                    "base_variables": list(r.cone.base_variables),
-                    "base_weights": list(r.cone.base_weights),
+                    "base_variables": r.cone.base_variables,
+                    "base_weights": r.cone.base_weights,
                 }
             if r.chart is not None:
                 cdoc["chart"] = pretty(r.chart)
-                cdoc["chart_variables"] = list(r.chart_variables)
+                cdoc["chart_variables"] = r.chart_variables
             if r.polygon is not None:
                 cdoc["polygon"] = _polygon(r.polygon)
             if r.genus is not None:
@@ -187,7 +185,7 @@ def _analysis_doc(result) -> Dict[str, Any]:
             if r.chart_verdict is not None:
                 cdoc["chart_nondegeneracy"] = _verdict(r.chart_verdict)
             if comp.warnings:
-                cdoc["warnings"] = list(comp.warnings)
+                cdoc["warnings"] = comp.warnings
             comps.append(cdoc)
         entry["components"] = comps
         weight_docs.append(entry)
@@ -196,7 +194,7 @@ def _analysis_doc(result) -> Dict[str, Any]:
         "classification": result.classification.label(),
         "normal_form": _certificate_doc(result.certificate),
         "diagram": {
-            "vertices": [list(v) for v in result.diagram.vertices],
+            "vertices": result.diagram.vertices,
             "face_count": len(result.diagram.faces),
             "faces_by_dimension": {
                 str(d): sum(1 for f in result.diagram.faces if f.dimension == d)
@@ -208,7 +206,7 @@ def _analysis_doc(result) -> Dict[str, Any]:
             "non_rational_discrepancy_one": result.non_rational_count,
             "uniqueness_violation": result.uniqueness_violation,
         },
-        "warnings": list(result.warnings),
+        "warnings": result.warnings,
     }
 
 
@@ -233,12 +231,12 @@ def _cmd_diagram(config: RunConfig) -> Dict[str, Any]:
     verdicts = check_nondegeneracy(diagram)
     return {
         "input": pretty(f),
-        "vertices": [list(v) for v in diagram.vertices],
+        "vertices": diagram.vertices,
         "faces": [
             {
                 "dimension": face.dimension,
-                "lattice_points": [list(p) for p in face.lattice_points],
-                "witness": list(face.witness),
+                "lattice_points": face.lattice_points,
+                "witness": face.witness,
                 "nondegeneracy": _verdict(verdict),
             }
             for face, verdict in verdicts
@@ -256,7 +254,7 @@ def _cmd_weights(config: RunConfig) -> Dict[str, Any]:
         "input": pretty(f),
         "weights": [
             {
-                "weight": _weight(w),
+                "weight": w.w,
                 "support_value": support_value(diagram, w.w),
                 "discrepancy": 1,
             }
@@ -284,15 +282,15 @@ def _cmd_lemmas(config: RunConfig) -> Dict[str, Any]:
             {
                 "intercepts": [_frac(q) for q in quad.intercepts],
                 "m": quad.m,
-                "weight": _weight(quad.derived_weight()),
+                "weight": quad.derived_weight().w,
             }
             for quad in quads
         ],
-        "weights": [_weight(w) for w in candidate_weights(kind)],
+        "weights": [w.w for w in candidate_weights(kind)],
         "correspondence": [
             {
                 "quadruple": [_frac(q) for q in entry.quadruple.intercepts],
-                "weight": _weight(entry.weight),
+                "weight": entry.weight.w,
                 "status": entry.status,
                 "note": entry.note,
             }
@@ -322,6 +320,56 @@ def _cmd_corpus(config: RunConfig) -> Dict[str, Any]:
 
 # -- rendering ----------------------------------------------------------------
 
+_INT = frozenset((int,))
+
+
+def _json_text(value: Any, newline: str, points: Dict[Tuple[tuple, str], str]) -> str:
+    """The text `json.dumps(value, indent=2)` gives for value, nested at the
+    depth of newline ("\n" and two spaces per level).
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None, and
+    raises TypeError on anything else (encode_basestring_ascii refuses a
+    key that is not a str).  A tuple of ints (a lattice point, weight or
+    witness) is rendered once per depth and kept in points; its elements'
+    types are checked first, since 1 == True == Fraction(1).
+    """
+    if isinstance(value, tuple):
+        if set(map(type, value)) == _INT:
+            key = (value, newline)
+            text = points.get(key)
+            if text is None:
+                inner = newline + "  "
+                text = points[key] = (
+                    "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+                )
+            return text
+        value = list(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner, points)
+            for key, item in value.items()
+        ]
+    elif isinstance(value, list):
+        brackets = "[]"
+        items = [_json_text(item, inner, points) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
 
 def _render_text(command: str, doc: Dict[str, Any], out) -> None:
     if command == "classify":
@@ -329,12 +377,12 @@ def _render_text(command: str, doc: Dict[str, Any], out) -> None:
         return
     if command == "diagram":
         out.write(f"input: {doc['input']}\n")
-        out.write("vertices: " + " ".join(str(tuple(v)) for v in doc["vertices"]) + "\n")
+        out.write("vertices: " + " ".join(str(v) for v in doc["vertices"]) + "\n")
         for face in doc["faces"]:
-            pts = " ".join(str(tuple(p)) for p in face["lattice_points"])
+            pts = " ".join(str(p) for p in face["lattice_points"])
             nd = face["nondegeneracy"]["status"]
             out.write(
-                f"face dim {face['dimension']} witness {tuple(face['witness'])} "
+                f"face dim {face['dimension']} witness {face['witness']} "
                 f"[{nd}]: {pts}\n"
             )
         return
@@ -342,7 +390,7 @@ def _render_text(command: str, doc: Dict[str, Any], out) -> None:
         out.write(f"input: {doc['input']}\n")
         for w in doc["weights"]:
             out.write(
-                f"w = {tuple(w['weight'])}  w(f) = {w['support_value']}  "
+                f"w = {w['weight']}  w(f) = {w['support_value']}  "
                 f"discrepancy = {w['discrepancy']}\n"
             )
         if not doc["weights"]:
@@ -358,7 +406,7 @@ def _render_text(command: str, doc: Dict[str, Any], out) -> None:
             )
         for w in doc["weights"]:
             out.write(
-                f"weight {tuple(w['weight'])}: face dim {w['face_dimension']}, "
+                f"weight {w['weight']}: face dim {w['face_dimension']}, "
                 f"{w['face_polynomial']}\n"
             )
             if w.get("note"):
@@ -387,17 +435,17 @@ def _render_text(command: str, doc: Dict[str, Any], out) -> None:
         for quad in doc["quadruples"]:
             out.write(
                 "(" + ", ".join(quad["intercepts"]) + f")  m = {quad['m']}  "
-                f"w = {tuple(quad['weight'])}\n"
+                f"w = {quad['weight']}\n"
             )
         out.write(
             "catalog weights: "
-            + " ".join(str(tuple(w)) for w in doc["weights"])
+            + " ".join(str(w) for w in doc["weights"])
             + "\n"
         )
         for entry in doc["correspondence"]:
             note = f"  ({entry['note']})" if entry["note"] else ""
             out.write(
-                f"({', '.join(entry['quadruple'])}) -> {tuple(entry['weight'])}: "
+                f"({', '.join(entry['quadruple'])}) -> {entry['weight']}: "
                 f"{entry['status']}{note}\n"
             )
         return
@@ -453,7 +501,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
         "report": doc,
     }
     if config.output_format == "structured":
-        out.write(json.dumps(document, indent=2))
+        out.write(_json_text(document, "\n", {}))
         out.write("\n")
     else:
         _render_text(config.command, doc, out)

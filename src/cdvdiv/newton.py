@@ -311,7 +311,7 @@ def face_polynomial(f: Polynomial, w: Sequence[int]) -> Polynomial:
         raise ValueError("face_polynomial needs a strictly positive weight")
     support = f.support()
     m = min(_dot(w, v) for v in support)
-    return Polynomial({v: f.coefficient(v) for v in support if _dot(w, v) == m})
+    return f.restrict([v for v in support if _dot(w, v) == m])
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +339,14 @@ class FaceVerdict:
     witness: TorusWitness | None = None
 
 
+_MONOMIAL_VERDICT = FaceVerdict(
+    NONDEGENERATE_CERTIFIED, "monomial face polynomials are smooth on the torus"
+)
+_BINOMIAL_VERDICT = FaceVerdict(
+    NONDEGENERATE_CERTIFIED, "binomial face polynomials are smooth on the torus"
+)
+
+
 def singular_torus_search(g: Polynomial) -> FaceVerdict:
     """Decide non-degeneracy of a single quasihomogeneous piece.
 
@@ -360,13 +368,9 @@ def singular_torus_search(g: Polynomial) -> FaceVerdict:
     """
     if g.is_zero():
         raise ValueError("cannot check the zero polynomial")
-    names = g.variables_present()
     if len(g) <= 2:
-        kind = "monomial" if len(g) == 1 else "binomial"
-        return FaceVerdict(
-            NONDEGENERATE_CERTIFIED,
-            f"{kind} face polynomials are smooth on the torus",
-        )
+        return _MONOMIAL_VERDICT if len(g) == 1 else _BINOMIAL_VERDICT
+    names = g.variables_present()
     var_idx = [i for i in range(4) if VARS[i] in names]
     terms = [(tuple(exps[i] for i in var_idx), coeff) for exps, coeff in g.items()]
     for j in range(len(var_idx)):
@@ -762,8 +766,6 @@ def _pseudo_remainder(a: List[int], b: List[int]) -> List[int]:
 
 def check_nondegeneracy(d: NewtonDiagram) -> List[Tuple[Face, FaceVerdict]]:
     """Run the non-degeneracy check on every compact face of the diagram."""
-    results = []
-    for face in d.faces:
-        fp = Polynomial({v: d.source.coefficient(v) for v in face.lattice_points})
-        results.append((face, singular_torus_search(fp)))
-    return results
+    return [
+        (face, singular_torus_search(d.source.restrict(face.lattice_points))) for face in d.faces
+    ]

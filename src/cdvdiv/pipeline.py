@@ -205,9 +205,7 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
         key = face.lattice_points if face is not None else w.w
         if key not in by_face:
             equation = (
-                Polynomial({v: g.coefficient(v) for v in face.lattice_points})
-                if face is not None
-                else face_polynomial(g, w.w)
+                g.restrict(face.lattice_points) if face is not None else face_polynomial(g, w.w)
             )
             by_face[key] = (
                 equation,

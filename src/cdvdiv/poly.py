@@ -222,6 +222,15 @@ class Polynomial:
             {e: c for e, c in self._terms.items() if total_degree(e) <= degree}
         )
 
+    def restrict(self, support: Iterable[ExponentVector]) -> "Polynomial":
+        """The terms of self at the given exponents, each of which must be in
+        its support (KeyError otherwise).  The terms are valid already, so
+        they are shared, not checked and converted again as in __init__."""
+        terms = self._terms
+        result = Polynomial.__new__(Polynomial)
+        result._terms = {e: terms[e] for e in support}
+        return result
+
     def derivative(self, var: int | str) -> "Polynomial":
         i = VAR_INDEX[var] if isinstance(var, str) else var
         out: Dict[ExponentVector, Fraction] = {}
@@ -340,7 +349,7 @@ def parse_polynomial(text: str) -> Polynomial:
     variables, or non-positive exponents.
     """
     tok = _Tokenizer(text)
-    result = Polynomial.zero()
+    terms: Dict[ExponentVector, Fraction] = {}
     first = True
     while True:
         ch = tok.peek()
@@ -362,11 +371,16 @@ def parse_polynomial(text: str) -> Polynomial:
             else:
                 raise ParseError(f"expected '+' or '-', found {ch!r}", tok.pos)
             tok.take()
-        result = result + _parse_term(tok).scale(sign)
-    return result
+        exps, coeff = _parse_term(tok)
+        total = terms.get(exps, _ZERO) + (coeff if sign > 0 else -coeff)
+        if total:
+            terms[exps] = total
+        else:
+            terms.pop(exps, None)
+    return Polynomial(terms)
 
 
-def _parse_term(tok: _Tokenizer) -> Polynomial:
+def _parse_term(tok: _Tokenizer) -> Tuple[ExponentVector, Fraction]:
     coeff = Fraction(1)
     ch = tok.peek()
     if ch.isdigit():
@@ -382,7 +396,7 @@ def _parse_term(tok: _Tokenizer) -> Polynomial:
             coeff = Fraction(num)
         if tok.peek() != "*":
             # A bare constant term.
-            return Polynomial.constant(coeff)
+            return ZERO_EXPONENT, coeff
         tok.take()
     factors = [_parse_factor(tok)]
     while tok.peek() == "*":
@@ -391,7 +405,7 @@ def _parse_term(tok: _Tokenizer) -> Polynomial:
     exps = [0, 0, 0, 0]
     for idx, power in factors:
         exps[idx] += power
-    return Polynomial.monomial(tuple(exps), coeff)
+    return tuple(exps), coeff
 
 
 def _parse_factor(tok: _Tokenizer) -> Tuple[int, int]:

@@ -1,7 +1,10 @@
 import io
 import json
+from fractions import Fraction
 
-from cdvdiv.cli import EXIT_INPUT_ERROR, EXIT_OK, RunConfig, main, run
+import pytest
+
+from cdvdiv.cli import EXIT_INPUT_ERROR, EXIT_OK, RunConfig, _json_text, main, run
 
 
 def write_input(tmp_path, text, name="f.txt"):
@@ -274,3 +277,57 @@ class TestMainEntry:
                 errors.append(captured.err)
             assert message in errors[0]
             assert errors[0] == errors[1]
+
+
+class TestStructuredWriter:
+    """The structured format is the text of json.dumps(document, indent=2)."""
+
+    def test_every_command_matches_the_stdlib(self, tmp_path):
+        path = write_input(tmp_path, "x^2 + y^2*z + z^3 + t^3")
+        configs = [
+            RunConfig(command=command, input_path=path, output_format="structured")
+            for command in ("classify", "diagram", "weights", "analyze")
+        ] + [
+            RunConfig(command="lemmas", type_name="cD:6", output_format="structured"),
+            RunConfig(command="lemmas", type_name="cE8", output_format="structured"),
+            RunConfig(command="corpus", output_format="structured"),
+        ]
+        for config in configs:
+            status, out, err = run_config(config)
+            assert (status, err) == (EXIT_OK, ""), config
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", config
+
+    def test_writer_matches_the_stdlib(self):
+        point = (3, -1, 0, 2**70)
+        doc = {
+            "empty dict": {},
+            "empty list": [],
+            "empty tuple": (),
+            "nested empty": {"a": {}, "b": [[], {}], "c": [{"d": []}]},
+            "strings": ['quote " backslash \\ newline \n tab \t', "\u2265 and \u00e9", ""],
+            'key with " and \u2265': "value",
+            "ints": [0, -7, 2**64 + 1, -(2**80)],
+            "constants": [True, False, None],
+            "points": [point, {"deeper": [point, point]}, point],
+            "equal to a point, other types": [(1, 0), (True, 0), (1, False)],
+            "strings in a tuple": ("x", "y"),
+            "points in a tuple": ((1, 2), (3, 4)),
+        }
+        assert _json_text(doc, "\n", {}) == json.dumps(doc, indent=2)
+        for value in (0, "s", None, True, [], {}, [1, [2, [3]]], (5, 6)):
+            assert _json_text(value, "\n", {}) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Fraction(1, 2),
+            1.5,
+            {1: "int key"},
+            {"nested": [Fraction(3)]},
+            [(1, 2), (Fraction(1), 2)],
+            [(1, 2), (1.0, 2)],
+        ],
+    )
+    def test_other_types_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            _json_text(bad, "\n", {})

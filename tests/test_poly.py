@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -50,6 +51,8 @@ class TestParse:
     def test_like_terms_merge(self):
         assert P("x + x") == P("2*x")
         assert P("x - x").is_zero()
+        assert P("x + y - x") == P("y")
+        assert P("x + y - x + 1/2*x - y") == P("1/2*x")
 
     def test_leading_minus_and_constants(self):
         assert P("-x + 1") == Polynomial.constant(1) - Polynomial.variable("x")
@@ -351,3 +354,17 @@ class TestCalculus:
     def test_evaluate(self):
         f = P("x^2 - 1/2*z*t^4")
         assert f.evaluate([2, 0, 1, 1]) == Fraction(7, 2)
+
+
+class TestRestrict:
+    def test_matches_the_validating_construction(self):
+        f = P("x^2 + y^2*z - 1/2*z^3 + 3*t^3")
+        for size in range(len(f) + 1):
+            for points in itertools.combinations(f.support(), size):
+                restricted = f.restrict(points)
+                assert restricted == Polynomial({v: f.coefficient(v) for v in points})
+                assert restricted.terms == {v: f.coefficient(v) for v in points}
+
+    def test_exponent_outside_the_support(self):
+        with pytest.raises(KeyError):
+            P("x^2 + y^3").restrict([(2, 0, 0, 0), (0, 0, 1, 0)])
