@@ -54,7 +54,11 @@ def minimal_points(points: Sequence[ExponentVector]) -> List[ExponentVector]:
     """
     minimal: List[ExponentVector] = []
     for p in sorted(set(points), key=total_degree):
-        if not any(all(a <= b for a, b in zip(q, p)) for q in minimal):
+        p0, p1, p2, p3 = p
+        for q in minimal:
+            if q[0] <= p0 and q[1] <= p1 and q[2] <= p2 and q[3] <= p3:
+                break
+        else:
             minimal.append(p)
     return minimal
 

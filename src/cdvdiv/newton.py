@@ -24,8 +24,10 @@ vectors.  Enumeration is brute force and exact:
      facets, intersecting each with every face found so far as bitmasks
      over the minimal points and the axes, yields the whole face lattice,
      and the faces with no recession direction are the compact ones.  The
-     face lattice of a polytope is graded, so a compact face's dimension
-     is one more than the largest among its proper compact subfaces.
+     minimal points are numbered in grlex order, so a compact face reads
+     its points off its mask already sorted.  The face lattice of a
+     polytope is graded, so a compact face's dimension is one more than
+     the largest among its proper compact subfaces.
 
 Each compact face stores a canonical witness weight (an interior point of
 its normal cone, obtained as the primitive sum of the normals of all facets
@@ -84,17 +86,26 @@ def _primitive(w: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _cross4(u: Sequence[int], v: Sequence[int], s: Sequence[int]) -> Tuple[int, ...]:
-    """Integer normal to three vectors in Z^4 (zero iff they are dependent)."""
+    """Integer normal to three vectors in Z^4 (zero iff they are dependent).
 
-    def minor(cols):
-        a, b, c = cols
-        return (
-            u[a] * (v[b] * s[c] - v[c] * s[b])
-            - u[b] * (v[a] * s[c] - v[c] * s[a])
-            + u[c] * (v[a] * s[b] - v[b] * s[a])
-        )
-
-    return (minor((1, 2, 3)), -minor((0, 2, 3)), minor((0, 1, 3)), -minor((0, 1, 2)))
+    Entry i is (-1)^i times the 3x3 minor of the rows u, v, s without
+    column i, expanded along u over the six 2x2 minors m_ab of v and s.
+    """
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    s0, s1, s2, s3 = s
+    m01 = v0 * s1 - v1 * s0
+    m02 = v0 * s2 - v2 * s0
+    m03 = v0 * s3 - v3 * s0
+    m12 = v1 * s2 - v2 * s1
+    m13 = v1 * s3 - v3 * s1
+    m23 = v2 * s3 - v3 * s2
+    return (
+        u1 * m23 - u2 * m13 + u3 * m12,
+        -u0 * m23 + u2 * m03 - u3 * m02,
+        u0 * m13 - u1 * m03 + u3 * m01,
+        -u0 * m12 + u1 * m02 - u2 * m01,
+    )
 
 
 def _affine_rank(points: Sequence[Sequence[int]], rays: Sequence[Sequence[int]] = ()) -> int:
@@ -149,10 +160,14 @@ class NewtonDiagram:
         return {face.lattice_points: face for face in self.faces}
 
     def face_of_weight(self, w: Sequence[int]) -> Face | None:
-        """The compact face minimized by the strictly positive weight w."""
+        """The compact face minimized by the strictly positive weight w.
+
+        The support is in grlex order, so the tight points are too, as in
+        every face's lattice_points.
+        """
         support = self.source.support()
         m = min(_dot(w, v) for v in support)
-        tight = tuple(sorted((v for v in support if _dot(w, v) == m), key=grlex_key))
+        tight = tuple(v for v in support if _dot(w, v) == m)
         return self._faces_by_points.get(tight)
 
 
@@ -164,9 +179,11 @@ def _facets(support: Sequence[ExponentVector]):
     coordinates: w is strictly positive off R and w.p = w.pi(p), so a tight
     p has pi(p) minimal (pi(p) >= pi(q) != pi(p) gives w.p > w.q).  A facet
     whose normal has a larger zero set is found at its own, smaller r.  The
-    no-point-below test runs over the whole support.  A nonzero cross
-    product makes the r directions and R independent, and they lie in the
-    plane, so the tight set of a plane that passes the test has rank 3.
+    no-point-below test runs over the whole support, in the same pass that
+    collects the tight points, and stops at the first point below.  A
+    nonzero cross product makes the r directions and R independent, and
+    they lie in the plane, so the tight set of a plane that passes the test
+    has rank 3.
 
     Three shortcuts keep the result and skip cross products:
 
@@ -187,34 +204,50 @@ def _facets(support: Sequence[ExponentVector]):
             frozenset(p for p in support if p[i] == low),
             frozenset(j for j in range(4) if j != i),
         )
+    # the axes on which each support point is nonzero, as bitmasks
+    nonzero = {(p[0] > 0) | (p[1] > 0) << 1 | (p[2] > 0) << 2 | (p[3] > 0) << 3 for p in support}
     for r in (1, 2, 3):  # r + 1 spanning points, 3 - r spanning rays
         for R in itertools.combinations(range(4), 3 - r):
-            off = [i for i in range(4) if i not in R]
-            if any(not any(p[i] for i in off) for p in support):
+            in_R = sum(1 << i for i in R)
+            if any(m | in_R == in_R for m in nonzero):
                 continue  # pi(support) has the single minimal point 0
+            k0, k1, k2, k3 = (int(i not in R) for i in range(4))
             pool = minimal_points(
-                [tuple(0 if i in R else a for i, a in enumerate(p)) for p in support]
+                [(p0 * k0, p1 * k1, p2 * k2, p3 * k3) for p0, p1, p2, p3 in support]
             )
             if r == 3:
                 inside = _inside_segments(pool)
                 pool = [p for p in pool if p not in inside]
             rays = [AXES[i] for i in R]
             for base, *rest in itertools.combinations(pool, r + 1):
-                w = _cross4(*(_sub(p, base) for p in rest), *rays)
-                if min(w) < 0:
-                    w = tuple(-a for a in w)
-                if min(w) < 0 or not any(w):
-                    continue  # dependent vectors, or no minimum over the polyhedron
-                key = _primitive(w)
+                b0, b1, b2, b3 = base
+                w0, w1, w2, w3 = _cross4(
+                    *[(p[0] - b0, p[1] - b1, p[2] - b2, p[3] - b3) for p in rest], *rays
+                )
+                if w0 < 0 or w1 < 0 or w2 < 0 or w3 < 0:
+                    w0, w1, w2, w3 = -w0, -w1, -w2, -w3
+                    if w0 < 0 or w1 < 0 or w2 < 0 or w3 < 0:
+                        continue  # no minimum over the polyhedron
+                elif not (w0 or w1 or w2 or w3):
+                    continue  # dependent vectors
+                g = gcd(w0, w1, w2, w3)
+                key = (w0 // g, w1 // g, w2 // g, w3 // g)
                 if key in facets:
                     continue
-                c = _dot(key, base)
-                if any(_dot(key, p) < c for p in support):
-                    continue
-                facets[key] = (
-                    frozenset(p for p in support if _dot(key, p) == c),
-                    frozenset(i for i in range(4) if key[i] == 0),
-                )
+                w0, w1, w2, w3 = key
+                c = w0 * b0 + w1 * b1 + w2 * b2 + w3 * b3
+                tight = []
+                for p in support:
+                    v = w0 * p[0] + w1 * p[1] + w2 * p[2] + w3 * p[3]
+                    if v < c:
+                        break  # a point below the plane
+                    if v == c:
+                        tight.append(p)
+                else:
+                    facets[key] = (
+                        frozenset(tight),
+                        frozenset(i for i in range(4) if key[i] == 0),
+                    )
     return facets
 
 
@@ -227,16 +260,18 @@ def _inside_segments(pool: Sequence[ExponentVector]) -> set:
     """
     inside = set()
     for p in pool:
+        p0, p1, p2, p3 = p
         seen = set()
-        for q in pool:
-            d = _sub(q, p)
-            g = gcd(*d)
+        for q0, q1, q2, q3 in pool:
+            d0, d1, d2, d3 = q0 - p0, q1 - p1, q2 - p2, q3 - p3
+            g = gcd(d0, d1, d2, d3)
             if not g:
                 continue  # q is p
-            if (-d[0] // g, -d[1] // g, -d[2] // g, -d[3] // g) in seen:
+            d0, d1, d2, d3 = d0 // g, d1 // g, d2 // g, d3 // g
+            if (-d0, -d1, -d2, -d3) in seen:
                 inside.add(p)
                 break
-            seen.add((d[0] // g, d[1] // g, d[2] // g, d[3] // g))
+            seen.add((d0, d1, d2, d3))
     return inside
 
 
@@ -250,17 +285,21 @@ def build_diagram(f: Polynomial) -> NewtonDiagram:
     face, because w.p > w.q for every strictly positive w.  The witness
     check still runs over the whole support.
 
-    Faces are intersected as bitmasks over the minimal points (tight
-    points) and over the axes (tight rays), and a face's witness normals
-    are the facets whose mask contains its own.  A compact face is a
-    polytope whose faces are the compact faces inside it, and the face
-    lattice of a polytope is graded, so its dimension is 1 + the largest
-    dimension of its proper subfaces, and 0 for a vertex, which has none.
+    The minimal points are sorted into grlex order once, and point k is
+    bit k, so a face's points, read off its mask bit by bit, come out in
+    grlex order.  Faces are intersected as bitmasks over the minimal points
+    (tight points) and over the axes (tight rays).  A compact face's
+    witness is the primitive sum of the normals of the facets whose mask
+    contains its own, and its argmin over the whole support, in support
+    order, must be its points.  A compact face is a polytope whose faces
+    are the compact faces inside it, and the face lattice of a polytope is
+    graded, so its dimension is 1 + the largest dimension of its proper
+    subfaces, and 0 for a vertex, which has none.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton diagram")
     support = f.support()
-    points = minimal_points(support)
+    points = sorted(minimal_points(support), key=grlex_key)
     bit = {p: 1 << k for k, p in enumerate(points)}
     facets = [
         (sum(bit[p] for p in pts), sum(1 << i for i in rays), w)
@@ -280,17 +319,25 @@ def build_diagram(f: Polynomial) -> NewtonDiagram:
         dimension[mask] = 1 + max(
             (d for sub, d in dimension.items() if sub & mask == sub), default=-1
         )
-        pts = frozenset(p for p in points if bit[p] & mask)
-        sorted_pts = tuple(sorted(pts, key=grlex_key))
-        normals = [w for fmask, _rays, w in facets if fmask & mask == mask]
-        witness = _primitive([sum(col) for col in zip(*normals)])
-        if any(c <= 0 for c in witness):
-            raise AssertionError(f"non-positive witness {witness} for face {sorted_pts}")
-        m = min(_dot(witness, v) for v in support)
-        argmin = frozenset(v for v in support if _dot(witness, v) == m)
-        if argmin != pts:
-            raise AssertionError(f"witness {witness} does not cut out face {sorted_pts}")
-        face_objs.append(Face(dimension[mask], sorted_pts, witness))
+        face_pts = tuple(p for k, p in enumerate(points) if mask >> k & 1)
+        s0 = s1 = s2 = s3 = 0
+        for fmask, _rays, (w0, w1, w2, w3) in facets:
+            if fmask & mask == mask:
+                s0, s1, s2, s3 = s0 + w0, s1 + w1, s2 + w2, s3 + w3
+        g = gcd(s0, s1, s2, s3)  # a compact face lies on some facet, so g > 0
+        witness = w0, w1, w2, w3 = s0 // g, s1 // g, s2 // g, s3 // g
+        if w0 <= 0 or w1 <= 0 or w2 <= 0 or w3 <= 0:
+            raise AssertionError(f"non-positive witness {witness} for face {face_pts}")
+        least = None
+        for v in support:
+            value = w0 * v[0] + w1 * v[1] + w2 * v[2] + w3 * v[3]
+            if least is None or value < least:
+                least, argmin = value, [v]
+            elif value == least:
+                argmin.append(v)
+        if tuple(argmin) != face_pts:
+            raise AssertionError(f"witness {witness} does not cut out face {face_pts}")
+        face_objs.append(Face(dimension[mask], face_pts, witness))
     face_objs.sort(key=lambda face: (face.dimension, face.lattice_points))
     vertices = tuple(face.lattice_points[0] for face in face_objs if face.dimension == 0)
     return NewtonDiagram(source=f, vertices=vertices, faces=tuple(face_objs))

@@ -20,6 +20,7 @@ from cdvdiv.lp import (
 )
 from cdvdiv.newton import build_diagram
 from test_blowup import _random_bounded_germ
+from test_newton import dense_supports, dominated_supports
 from weight_oracle import (
     FractionUnbounded,
     fraction_simplex,
@@ -123,6 +124,41 @@ def _brute_minimal(points):
     return sorted(
         p for p in points if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in points)
     )
+
+
+def _repeated_points(rng, count):
+    """Point lists of `_random_points` with some points listed more than once."""
+    cases = []
+    for _ in range(count):
+        points = _random_points(rng, rng.randint(3, 6))
+        points += rng.choices(points, k=rng.randint(1, len(points)))
+        points += points[:2]
+        rng.shuffle(points)
+        cases.append(points)
+    return cases
+
+
+MINIMAL_POINT_SOURCES = {
+    "dense": lambda: [f.support() for f in dense_supports(random.Random(61), 24)],
+    "dominated": lambda: [f.support() for f in dominated_supports(random.Random(41), 40)],
+    "repeated": lambda: _repeated_points(random.Random(71), 40),
+}
+
+
+@pytest.mark.parametrize("source", sorted(MINIMAL_POINT_SOURCES))
+def test_minimal_points_by_brute_force(source):
+    dominated = 0
+    for points in MINIMAL_POINT_SOURCES[source]():
+        minimal = minimal_points(points)
+        assert len(minimal) == len(set(minimal))
+        assert sorted(minimal) == _brute_minimal(points)
+        degrees = [sum(p) for p in minimal]
+        assert degrees == sorted(degrees)
+        dominated += len(minimal) < len(set(points))
+    if source == "dense":
+        assert dominated == 0  # no point of a dense support dominates another
+    else:
+        assert dominated >= 30
 
 
 @pytest.mark.parametrize("seed", range(30))

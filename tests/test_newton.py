@@ -390,6 +390,53 @@ class TestSegmentPrune:
         assert len(calls) == 1851  # 6,462 when every minimal point spans
 
 
+class TestCross4:
+    """`_cross4` against sympy's 4x4 cofactor expansion.
+
+    The oracle diagram calls the same `_cross4`, so this is the check that
+    does not depend on it.
+    """
+
+    @staticmethod
+    def triples(rng, count):
+        """Seeded triples in Z^4: random ones, axis rays as `_facets` passes
+        them, and dependent ones (a repeated vector, a zero vector, or an
+        integer combination of the other two)."""
+        cases = []
+        for i in range(count):
+            u, v, s = (tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(3))
+            kind = i % 5
+            if kind == 1:
+                v, s = rng.sample(AXES, 2)
+            elif kind == 2:
+                s = rng.choice(AXES)
+            elif kind == 3:
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                s = tuple(a * x + b * y for x, y in zip(u, v))
+            elif kind == 4:
+                u, v, s = rng.choice([(u, u, s), (u, v, v), ((0, 0, 0, 0), v, s)])
+            cases.append((u, v, s))
+        return cases
+
+    def test_matches_sympy_cofactors(self):
+        dependent = 0
+        for u, v, s in self.triples(random.Random(73), 300):
+            # entry i is the cofactor of e_i in det(x; u; v; s), so <w, x> is that det
+            expected = tuple(
+                int(sympy.Matrix([list(axis), list(u), list(v), list(s)]).det()) for axis in AXES
+            )
+            assert _cross4(u, v, s) == expected
+            rank = sympy.Matrix([u, v, s]).rank()
+            assert (expected == (0, 0, 0, 0)) == (rank < 3)
+            dependent += rank < 3
+        assert dependent >= 100
+
+    def test_normal_is_orthogonal_to_its_vectors(self):
+        for u, v, s in self.triples(random.Random(79), 300):
+            w = _cross4(u, v, s)
+            assert _dot(w, u) == _dot(w, v) == _dot(w, s) == 0
+
+
 class TestAffineRank:
     def test_matches_sympy_rank(self):
         rng = random.Random(17)
