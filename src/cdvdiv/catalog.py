@@ -266,12 +266,12 @@ def _default_bound(kind: SingularityType) -> int:
     return bounds[kind.kind]
 
 
-def _certified_and_surplus(kind: SingularityType, bound: Optional[int]):
+def _certified_and_surplus(kind: SingularityType):
     """One scan, split into the certified quadruples, sorted by (m,
     intercepts), and the pinned cE8 surplus (m, w) pairs in scan order."""
     pinned = CE8_SCAN_SURPLUS if kind.kind == "cE8" else ()
     certified, surplus = [], []
-    for m, w in _scan(kind, bound):
+    for m, w in _scan(kind):
         if w in pinned:
             surplus.append((m, w))
         else:
@@ -280,18 +280,18 @@ def _certified_and_surplus(kind: SingularityType, bound: Optional[int]):
     return certified, surplus
 
 
-def lemma_quadruples(kind: SingularityType, bound: Optional[int] = None) -> List[Quadruple]:
+def lemma_quadruples(kind: SingularityType) -> List[Quadruple]:
     """All certified intercept quadruples for the type.
 
     Exact integer scan over primitive weights with m up to the proved bound
     of _default_bound (12, 18, 30 for cE6, cE7, cE8 and 2(n-1) for cD_n),
-    or up to bound when that is smaller, filtered by the intercept
-    conditions and the face-viability requirement, minus the pinned cE8
-    scan surplus.  The loops run only inside the bounds of _scan_bounds:
+    filtered by the intercept conditions and the face-viability
+    requirement, minus the pinned cE8 scan surplus.  The loops run only
+    inside the bounds of _scan_bounds:
     2*w1 >= m, and per type the lower bounds on w2 and w3 that every branch
     of its conditions implies.  Deduplicated and sorted by (m, intercepts).
     """
-    return _certified_and_surplus(kind, bound)[0]
+    return _certified_and_surplus(kind)[0]
 
 
 def candidate_weights(kind: SingularityType) -> List[Weight]:
@@ -341,16 +341,14 @@ class CorrespondenceEntry:
     note: str = ""
 
 
-def catalog_correspondence(
-    kind: SingularityType, bound: Optional[int] = None
-) -> List[CorrespondenceEntry]:
+def catalog_correspondence(kind: SingularityType) -> List[CorrespondenceEntry]:
     """Match each quadruple's weight against the weight catalog.
 
     Also appends the pinned cE8 scan-surplus quadruples with status
     "scan_surplus" so that nothing the scan finds is silently dropped.
     """
     catalog = {w.w for w in candidate_weights(kind)}
-    certified, surplus = _certified_and_surplus(kind, bound)
+    certified, surplus = _certified_and_surplus(kind)
     entries = []
     for quad in certified:
         weight = quad.derived_weight()

@@ -29,13 +29,7 @@ from cdvdiv.newton import (
     _convex_hull_ccw,
     polygon_nondegeneracy,
 )
-from cdvdiv.poly import (
-    Polynomial,
-    Substitution,
-    VARS,
-    VAR_INDEX,
-    apply_substitution,
-)
+from cdvdiv.poly import Polynomial, VARS, VAR_INDEX
 from cdvdiv.factorize import strip_monomial_content
 
 RATIONAL = "rational"
@@ -96,9 +90,11 @@ def detect_cone(component: Polynomial, w: Weight) -> Optional[ConeStructure]:
 def chart_polynomial(c: ConeStructure) -> Tuple[Polynomial, Tuple[str, str]]:
     """Affine chart of the base curve: set a weight-1 base variable to 1.
 
-    Prefers t, then z, then y, then x among the weight-1 base variables, and
-    strips monomial content from the result.  Raises ValueError when no base
-    variable has weight 1 (outside the certified scope of the pipeline).
+    Prefers t, then z, then y, then x among the weight-1 base variables.
+    Setting it to 1 projects each exponent vector onto the others, summing
+    the coefficients of terms that coincide; monomial content is stripped
+    from the result.  Raises ValueError when no base variable has weight 1
+    (outside the certified scope of the pipeline).
     """
     candidates = [
         v for v, wt in zip(c.base_variables, c.base_weights) if wt == 1
@@ -109,10 +105,12 @@ def chart_polynomial(c: ConeStructure) -> Tuple[Polynomial, Tuple[str, str]]:
             "chart construction is out of certified scope"
         )
     chart_var = max(candidates, key=lambda v: VAR_INDEX[v])
-    trunc = max(1, c.base_equation.degree())
-    sub = Substitution.single(chart_var, Polynomial.constant(1), trunc)
-    specialized = apply_substitution(c.base_equation, sub)
-    _content, stripped = strip_monomial_content(specialized)
+    i = VAR_INDEX[chart_var]
+    projected = {}
+    for exps, coeff in c.base_equation.items():
+        key = exps[:i] + (0,) + exps[i + 1 :]
+        projected[key] = projected.get(key, 0) + coeff
+    _content, stripped = strip_monomial_content(Polynomial(projected))
     remaining = tuple(v for v in c.base_variables if v != chart_var)
     return stripped, remaining
 
@@ -308,54 +306,37 @@ def classify_rationality(
             UNDECIDED, "chart_unavailable", cone=cone, warnings=(str(err),)
         )
     genus, polygon = polygon_genus(chart, chart_vars)
-    hyper = is_hyperelliptic(polygon)
-    by_convention = genus <= 1
+    chart_verdict, warnings = None, ()
     if genus == 0:
         # Interior count bounds the geometric genus from above, so genus 0 is
         # certain regardless of non-degeneracy.
-        return RationalityResult(
-            RATIONAL,
-            "cone_genus_0",
-            cone=cone,
-            chart=chart,
-            chart_variables=chart_vars,
-            polygon=polygon,
-            genus=0,
-            hyperelliptic=True,
-            hyperelliptic_by_convention=True,
-        )
-    verdict = chart_nondegeneracy(chart)
-    if verdict.status != NONDEGENERATE_CERTIFIED:
-        degenerate = verdict.status == DEGENERATE
-        return RationalityResult(
-            UNDECIDED,
-            "chart_degenerate" if degenerate else "chart_undecided",
-            cone=cone,
-            chart=chart,
-            chart_variables=chart_vars,
-            polygon=polygon,
-            genus=genus,
-            hyperelliptic=hyper,
-            hyperelliptic_by_convention=by_convention,
-            chart_verdict=verdict,
-            warnings=(
+        verdict, rule = RATIONAL, "cone_genus_0"
+    else:
+        chart_verdict = chart_nondegeneracy(chart)
+        if chart_verdict.status == NONDEGENERATE_CERTIFIED:
+            verdict, rule = NON_RATIONAL, "cone_positive_genus"
+        else:
+            degenerate = chart_verdict.status == DEGENERATE
+            verdict = UNDECIDED
+            rule = "chart_degenerate" if degenerate else "chart_undecided"
+            warnings = (
                 (
                     "chart curve is degenerate with respect to its polygon"
                     if degenerate
                     else "non-degeneracy of the chart curve is undecided"
                 )
                 + "; the interior-point genus is only an upper bound",
-            ),
-        )
+            )
     return RationalityResult(
-        NON_RATIONAL,
-        "cone_positive_genus",
+        verdict,
+        rule,
         cone=cone,
         chart=chart,
         chart_variables=chart_vars,
         polygon=polygon,
         genus=genus,
-        hyperelliptic=hyper,
-        hyperelliptic_by_convention=by_convention,
-        chart_verdict=verdict,
+        hyperelliptic=is_hyperelliptic(polygon),
+        hyperelliptic_by_convention=genus <= 1,
+        chart_verdict=chart_verdict,
+        warnings=warnings,
     )

@@ -74,10 +74,6 @@ def _dot(w: Sequence[int], v: Sequence[int]) -> int:
     return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + w[3] * v[3]
 
 
-def _sub(a: ExponentVector, b: ExponentVector) -> Tuple[int, int, int, int]:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-
-
 def _primitive(w: Sequence[int]) -> Tuple[int, ...]:
     g = 0
     for c in w:
@@ -108,19 +104,22 @@ def _cross4(u: Sequence[int], v: Sequence[int], s: Sequence[int]) -> Tuple[int, 
     )
 
 
-def _affine_rank(points: Sequence[Sequence[int]], rays: Sequence[Sequence[int]] = ()) -> int:
-    """Dimension of the affine hull of `points` plus directions `rays`.
+def _pivot_columns(
+    points: Sequence[Sequence[int]], rays: Sequence[Sequence[int]] = ()
+) -> Tuple[int, ...]:
+    """Pivot columns of the differences of `points` plus the directions `rays`.
 
     Fraction-free elimination on integer rows: each pivot row clears its
     column from the others by row -> a*row - row[col]*pivot (a the pivot
-    entry), and zero rows are dropped, so the rank is the number of pivots.
+    entry), and zero rows are dropped.  A column is a pivot iff it is
+    independent of the columns before it, so the pivots are the
+    lexicographically first set of coordinates whose projection keeps the
+    affine rank; there are as many as that rank.
     """
-    if not points:
-        return -1
     base = points[0]
-    rows = [_sub(p, base) for p in points[1:]] + [tuple(r) for r in rays]
-    rank = 0
-    for col in range(4):
+    rows = [tuple(x - y for x, y in zip(p, base)) for p in points[1:]] + [tuple(r) for r in rays]
+    pivots = []
+    for col in range(len(base)):
         pivot = next((row for row in rows if row[col]), None)
         if pivot is None:
             continue
@@ -131,8 +130,14 @@ def _affine_rank(points: Sequence[Sequence[int]], rays: Sequence[Sequence[int]] 
             for row in rows
         ]
         rows = [row for row in rows if any(row)]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return tuple(pivots)
+
+
+def _affine_rank(points: Sequence[Sequence[int]], rays: Sequence[Sequence[int]] = ()) -> int:
+    """Dimension of the affine hull of `points` plus directions `rays`
+    (-1 for no points): the number of pivot columns."""
+    return len(_pivot_columns(points, rays)) if points else -1
 
 
 @dataclass(frozen=True)
@@ -432,10 +437,10 @@ def singular_torus_search(g: Polynomial) -> FaceVerdict:
 def polygon_nondegeneracy(g: Polynomial) -> FaceVerdict:
     """Non-degeneracy of g on its Newton polygon and on each of its edges.
 
-    The support of g has affine rank 2.  Its projection to the first two
-    coordinates that keep that rank (`_rank_keeping_coordinates`, the rule
-    of `_torus_slice`) is injective on the polygon's plane, and the edges of
-    the projected hull are walked counterclockwise from its least vertex.
+    The support of g has affine rank 2.  Its projection to the two pivot
+    coordinates of its elimination (`_pivot_columns`, as in `_torus_slice`)
+    is injective on the polygon's plane, and the edges of the projected hull
+    are walked counterclockwise from its least vertex.
     Vertices are monomials and two-point edges binomials, both smooth on the
     torus, so only edges with three or more support points are tested.  The
     first of them that is not certified is returned, then g's own verdict if
@@ -448,7 +453,7 @@ def polygon_nondegeneracy(g: Polynomial) -> FaceVerdict:
     verdict is certified or undecided.
     """
     support = g.support()
-    cols = _rank_keeping_coordinates(support)
+    cols = _pivot_columns(support)
     if len(cols) != 2:
         raise ValueError("polygon_nondegeneracy needs a support of affine rank 2")
     i, j = cols
@@ -502,30 +507,15 @@ def _convex_hull_ccw(points: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]
 # v-degree of such lists in u.
 
 
-def _rank_keeping_coordinates(points) -> Tuple[int, ...]:
-    """The first d coordinates whose projection keeps the affine rank d of points.
-
-    The points have at most four coordinates.  Such coordinates exist,
-    because the points span an affine space of dimension d.
-    """
-    k = len(points[0])
-
-    def rank(cols):
-        pad = (0,) * (4 - len(cols))
-        return _affine_rank([tuple(p[i] for i in cols) + pad for p in points])
-
-    d = rank(range(k))
-    return next(cols for cols in itertools.combinations(range(k), d) if rank(cols) == d)
-
-
 def _torus_slice(terms) -> Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]:
     """Variables K and h in them with the same singular torus points as g.
 
     g is given by its terms in its k present variables; its support has
-    affine dimension d, with direction space L in Q^k.  K is the first set
-    of d variables whose coordinate projection keeps rank d on the support
-    (`_rank_keeping_coordinates`); h is g with every other variable set to
-    1, times its lcm of denominators and stripped of its monomial content.
+    affine dimension d, with direction space L in Q^k.  K is the d pivot
+    variables of the support's elimination (`_pivot_columns`), the first
+    set of d variables whose coordinate projection keeps rank d on it; h is
+    g with every other variable set to 1, times its lcm of denominators and
+    stripped of its monomial content.
 
     g has a singular point on (C*)^k iff h has one on (C*)^d:
 
@@ -549,7 +539,7 @@ def _torus_slice(terms) -> Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]:
     merge in h.
     """
     points = [exps for exps, _ in terms]
-    K = _rank_keeping_coordinates(points)
+    K = _pivot_columns(points)
     low = [min(p[i] for p in points) for i in K]
     scale = lcm(*(c.denominator for _, c in terms))
     h = {

@@ -387,9 +387,7 @@ def _linear_change(red: _Reducer, rows: List[List[Fraction]]) -> None:
             if inv[i][j]:
                 repl = repl + Polynomial.variable(VARS[1 + j]).scale(inv[i][j])
         repls.append(repl)
-    sub = Substitution(tuple(repls), red.truncation)
-    if not sub.is_identity():
-        red.apply(sub)
+    red.apply(Substitution(tuple(repls), red.truncation))
 
 
 def _invert3(rows: List[List[Fraction]]) -> List[List[Fraction]]:

@@ -50,7 +50,6 @@ from cdvdiv.newton import (
     FaceVerdict,
     NewtonDiagram,
     build_diagram,
-    face_polynomial,
     singular_torus_search,
 )
 from cdvdiv.normalform import (
@@ -201,12 +200,14 @@ def analyze(f: Polynomial, options: AnalyzeOptions = AnalyzeOptions()) -> Analys
     by_face: Dict[tuple, Tuple[Polynomial, Factorization, Optional[FaceVerdict]]] = {}
     for w in weights:
         face = diagram.face_of_weight(w.w)
-        face_dim = face.dimension if face is not None else -1
-        key = face.lattice_points if face is not None else w.w
+        if face is None:
+            # a strictly positive weight minimizes a compact face, and
+            # build_diagram lists every compact face
+            raise AssertionError(f"weight {w} minimizes no face of the Newton diagram")
+        face_dim = face.dimension
+        key = face.lattice_points
         if key not in by_face:
-            equation = (
-                g.restrict(face.lattice_points) if face is not None else face_polynomial(g, w.w)
-            )
+            equation = g.restrict(key)
             by_face[key] = (
                 equation,
                 decompose_components(equation),
@@ -454,10 +455,10 @@ class CorpusResult:
         )
 
 
-def run_corpus(seed: int = 0, options: Optional[AnalyzeOptions] = None) -> CorpusResult:
-    """Analyze every corpus instance and aggregate property violations."""
-    if options is None:
-        options = AnalyzeOptions(check_faces=False)
+def run_corpus(seed: int = 0) -> CorpusResult:
+    """Analyze every corpus instance, without face checks, and aggregate
+    property violations."""
+    options = AnalyzeOptions(check_faces=False)
     result = CorpusResult()
     for instance in generate_corpus(seed):
         analysis = analyze(instance.polynomial, options)

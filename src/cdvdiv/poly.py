@@ -19,7 +19,8 @@ The module also provides the textual input grammar
   factor      = variable ['^' positive-integer]
   variable    = 'x' | 'y' | 'z' | 't'
 
-(whitespace insignificant; a leading sign on the first term is accepted),
+(whitespace insignificant; integers are ASCII digits only; a leading sign
+on the first term is accepted),
 and truncated substitution of polynomials for variables, which is the engine
 behind the coordinate changes used by the normal-form reduction.
 
@@ -334,7 +335,7 @@ class _Tokenizer:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
@@ -383,7 +384,7 @@ def parse_polynomial(text: str) -> Polynomial:
 def _parse_term(tok: _Tokenizer) -> Tuple[ExponentVector, Fraction]:
     coeff = Fraction(1)
     ch = tok.peek()
-    if ch.isdigit():
+    if "0" <= ch <= "9":
         num = tok.integer()
         if tok.peek() == "/":
             tok.take()
@@ -468,14 +469,6 @@ class Substitution:
         repls = [Polynomial.variable(v) for v in VARS]
         repls[VAR_INDEX[var]] = replacement
         return Substitution(tuple(repls), truncation_degree)
-
-    def is_identity(self) -> bool:
-        return all(
-            repl == Polynomial.variable(v) for v, repl in zip(VARS, self.replacements)
-        )
-
-    def replacement(self, var: str) -> Polynomial:
-        return self.replacements[VAR_INDEX[var]]
 
     def describe(self) -> str:
         parts = [

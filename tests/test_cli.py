@@ -45,6 +45,15 @@ class TestClassifyCommand:
         assert status == EXIT_INPUT_ERROR
         assert "position" in err
 
+    def test_non_ascii_digits_are_parse_errors(self, tmp_path):
+        for text in ("x^\u00b2 + y^3 + z^5 + t^7", "x^2 + y^3 + z^5 + t^\u0667"):
+            path = write_input(tmp_path, text)
+            for command in ("classify", "analyze"):
+                status, out, err = run_config(RunConfig(command=command, input_path=path))
+                assert status == EXIT_INPUT_ERROR
+                assert out == ""
+                assert err.startswith(f"error: cannot parse {path}: expected an integer")
+
     def test_directory_input(self, tmp_path):
         for command in ("classify", "analyze"):
             status, out, err = run_config(RunConfig(command=command, input_path=str(tmp_path)))

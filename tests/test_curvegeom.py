@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from cdvdiv import newton
 from cdvdiv.blowup import Weight
 from cdvdiv.curvegeom import (
+    ConeStructure,
     LatticePolygon,
     NON_RATIONAL,
     RATIONAL,
@@ -17,8 +19,16 @@ from cdvdiv.curvegeom import (
     polygon_genus,
     polygon_of,
 )
+from cdvdiv.factorize import strip_monomial_content
 from cdvdiv.newton import UNDECIDED, FaceVerdict
-from cdvdiv.poly import parse_polynomial
+from cdvdiv.poly import (
+    VARS,
+    VAR_INDEX,
+    Polynomial,
+    Substitution,
+    apply_substitution,
+    parse_polynomial,
+)
 
 P = parse_polynomial
 
@@ -70,6 +80,81 @@ class TestChart:
         cone = detect_cone(P("y^3 + z^3 + t^3"), Weight((5, 2, 2, 2)))
         with pytest.raises(ValueError):
             chart_polynomial(cone)
+
+
+def chart_by_substitution(c, chart_vars):
+    """The chart as it was first computed: substitute the constant 1 for the
+    chart variable through the normal-form substitution engine."""
+    (chart_var,) = set(c.base_variables) - set(chart_vars)
+    sub = Substitution.single(chart_var, Polynomial.constant(1), max(1, c.base_equation.degree()))
+    return strip_monomial_content(apply_substitution(c.base_equation, sub))[1]
+
+
+def random_cones(rng, count, merging):
+    """Seeded cones over random base weights with a weight-1 variable.
+
+    Without `merging` the equation is a random sum of monomials of one
+    weighted degree in the base variables (quasi-homogeneous, as the
+    pipeline's components are).  With it, each term also gets partners
+    that differ only in the chart variable, so they land on the same chart
+    monomial, with coefficients that sometimes cancel it and sometimes
+    only part of it.
+    """
+    for _ in range(count):
+        missing = rng.choice(VARS)
+        base = tuple(v for v in VARS if v != missing)
+        weights = [rng.randint(1, 4) for _ in base]
+        weights[rng.randrange(3)] = 1
+        degree = rng.randint(2, 12)
+        monomials = []
+        for a in range(degree // weights[0] + 1):
+            for b in range((degree - a * weights[0]) // weights[1] + 1):
+                rest = degree - a * weights[0] - b * weights[1]
+                if rest % weights[2] == 0:
+                    monomials.append((a, b, rest // weights[2]))
+        chart = max((i for i in range(3) if weights[i] == 1), key=lambda i: VAR_INDEX[base[i]])
+        terms = {}
+        for mono in rng.sample(monomials, min(len(monomials), rng.randint(1, 5))):
+            coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            shifts = [0] + (rng.sample(range(1, 4), rng.randint(1, 2)) if merging else [])
+            parts = [coeff] * len(shifts)
+            if merging and rng.random() < 0.5:
+                parts[-1] = -sum(parts[:-1])  # the merged terms cancel
+            elif merging:
+                parts[-1] = -coeff / 2  # they cancel in part
+            for shift, c in zip(shifts, parts):
+                exps = [0, 0, 0, 0]
+                for i, e in enumerate(mono):
+                    exps[VAR_INDEX[base[i]]] = e + shift * (i == chart)
+                terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
+        equation = Polynomial(terms)
+        if equation.is_zero():
+            continue
+        yield ConeStructure(missing, 1, base, tuple(weights), equation)
+
+
+class TestChartProjection:
+    def test_quasihomogeneous_components_match_the_substitution(self):
+        seen = 0
+        for cone in random_cones(random.Random(41), 300, merging=False):
+            chart, chart_vars = chart_polynomial(cone)
+            assert chart == chart_by_substitution(cone, chart_vars), cone
+            seen += 1
+        assert seen == 300
+
+    def test_merged_and_cancelled_terms_match_the_substitution(self):
+        sizes = []
+        for cone in random_cones(random.Random(43), 300, merging=True):
+            chart, chart_vars = chart_polynomial(cone)
+            assert chart == chart_by_substitution(cone, chart_vars), cone
+            i = VAR_INDEX[(set(cone.base_variables) - set(chart_vars)).pop()]
+            groups = {e[:i] + e[i + 1 :] for e in cone.base_equation.support()}
+            sizes.append((len(cone.base_equation), len(groups), len(chart)))
+        # terms merge on most inputs; a group cancels beside one that does not
+        # on some, and every group cancels on others
+        assert sum(groups < terms for terms, groups, _ in sizes) > 200
+        assert any(0 < after < groups for _, groups, after in sizes)
+        assert any(after == 0 for _, _, after in sizes)
 
 
 class TestPolygonGenus:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -20,6 +21,7 @@ from cdvdiv.newton import (
     _affine_rank,
     _cross4,
     _dot,
+    _pivot_columns,
     _primitive,
     build_diagram,
     check_nondegeneracy,
@@ -460,6 +462,49 @@ class TestAffineRank:
         assert _affine_rank([]) == -1
         assert _affine_rank([(1, 2, 3, 4)] * 3) == 0
         assert _affine_rank([(0, 0, 0, 0), (2, 4, 0, 0), (1, 2, 0, 0)]) == 1
+
+
+def rank_keeping_coordinates(points):
+    """The combinatorial search that `_pivot_columns` replaced: the first
+    d-subset of coordinates, in itertools.combinations order, whose
+    projection keeps the affine rank d of the points."""
+    k = len(points[0])
+
+    def rank(cols):
+        pad = (0,) * (4 - len(cols))
+        return _affine_rank([tuple(p[i] for i in cols) + pad for p in points])
+
+    d = rank(range(k))
+    return next(cols for cols in itertools.combinations(range(k), d) if rank(cols) == d)
+
+
+def point_sets(rng, count):
+    """Seeded point sets with 1-4 coordinates: random ones, and ones on a
+    line or a plane through a random point (so dependent), in turn."""
+    for n in range(count):
+        k = rng.randint(1, 4)
+        vec = lambda: [rng.randint(-3, 3) for _ in range(k)]  # noqa: E731
+        shape = n % 3
+        if shape == 0:
+            points = [vec() for _ in range(rng.randint(1, 6))]
+        else:
+            base, spans = vec(), [vec() for _ in range(shape)]
+            points = [
+                [b + sum(rng.randint(-2, 2) * v[i] for v in spans) for i, b in enumerate(base)]
+                for _ in range(rng.randint(1, 6))
+            ]
+        yield [tuple(p) for p in points]
+
+
+class TestPivotColumns:
+    def test_matches_the_combinatorial_search(self):
+        ranks = collections.Counter()
+        for points in point_sets(random.Random(23), 3000):
+            pivots = _pivot_columns(points)
+            assert pivots == rank_keeping_coordinates(points), points
+            ranks[len(points[0]), len(pivots)] += 1
+        # every rank from 0 to the number of coordinates occurs, for each number
+        assert all(ranks[k, d] for k in range(1, 5) for d in range(k + 1))
 
 
 class TestFaceOfWeight:

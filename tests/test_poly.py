@@ -63,7 +63,12 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "x +", "x^0", "x^-2", "w^2", "2 2", "x*", "x^", "*x", "1/0"],
+        [
+            "", "x +", "x^0", "x^-2", "w^2", "2 2", "x*", "x^", "*x", "1/0",
+            # str.isdigit() holds for these, but only ASCII digits are read
+            "x^\u00b2 + y^3 + z^5 + t^7", "x^2 + y^3 + z^5 + t^\u0667",
+            "\u00b2*x", "3/\u0662*x", "\u0663",
+        ],
     )
     def test_syntax_errors(self, bad):
         with pytest.raises(ParseError):
