@@ -3,8 +3,8 @@
 The package takes a polynomial f(x, y, z, t) defining a 3-fold hypersurface
 singularity at the origin, classifies its compound Du Val type, and studies
 the weighted blowups whose exceptional divisor has discrepancy 1: which of
-them carry a non-rational component, and what the genus of the base curve of
-each cone-shaped component is.  All arithmetic is exact (rational numbers and
+them carry a non-rational component, and what the genus of the curve of each
+component whose support spans a plane is.  All arithmetic is exact (rational numbers and
 integer lattice geometry); nothing in the mathematical core uses floats.
 """
 
@@ -36,11 +36,8 @@ from cdvdiv.blowup import (
     exceptional_surface,
 )
 from cdvdiv.curvegeom import (
-    ConeStructure,
     LatticePolygon,
-    chart_polynomial,
     classify_rationality,
-    detect_cone,
     is_hyperelliptic,
     polygon_genus,
 )
@@ -69,7 +66,6 @@ from cdvdiv.pipeline import (
 __all__ = [
     "AnalysisResult",
     "AnalyzeOptions",
-    "ConeStructure",
     "DivisorReport",
     "ExceptionalSurface",
     "ExponentVector",
@@ -92,12 +88,10 @@ __all__ = [
     "build_diagram",
     "candidate_weights",
     "catalog_correspondence",
-    "chart_polynomial",
     "check_nondegeneracy",
     "classify_rationality",
     "classify_type",
     "decompose_components",
-    "detect_cone",
     "discrepancy",
     "enumerate_weights",
     "exceptional_surface",

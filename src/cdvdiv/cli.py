@@ -34,7 +34,7 @@ from cdvdiv.normalform import SingularityType, classify_type
 from cdvdiv.pipeline import AnalyzeOptions, analyze, germ_weights, run_corpus
 from cdvdiv.poly import ParseError, Polynomial, parse_polynomial, pretty
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -166,15 +166,6 @@ def _analysis_doc(result) -> Dict[str, Any]:
                 "rationality": r.verdict,
                 "rule": r.rule,
             }
-            if r.cone is not None:
-                cdoc["cone"] = {
-                    "missing_variable": r.cone.missing_variable,
-                    "base_variables": r.cone.base_variables,
-                    "base_weights": r.cone.base_weights,
-                }
-            if r.chart is not None:
-                cdoc["chart"] = pretty(r.chart)
-                cdoc["chart_variables"] = r.chart_variables
             if r.polygon is not None:
                 cdoc["polygon"] = _polygon(r.polygon)
             if r.genus is not None:

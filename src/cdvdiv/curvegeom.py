@@ -1,14 +1,16 @@
-"""Rationality of exceptional components via base-curve lattice geometry.
+"""Rationality of exceptional components via their lattice polygons.
 
-A component whose equation omits one of the four variables is a cone inside
-weighted projective space: its geometry is controlled by the base curve in
-the residual weighted plane.  Setting a weight-1 base variable to 1 gives an
-affine chart in two variables, and for a curve non-degenerate with respect
-to its Newton polygon the geometric genus equals the number of interior
-lattice points of that polygon (in general the count is still an upper
-bound, so a zero count certifies rationality unconditionally).  A
-non-degenerate polygon curve is hyperelliptic exactly when the interior
-lattice points are collinear.
+A component h whose support has affine rank 2 meets the torus in Z_h times
+a one-dimensional torus, where Z_h is a curve whose Newton polygon is the
+convex hull of supp h in the lattice Z^4 meet aff(supp h).  The geometric
+genus of Z_h is at most the number of lattice points strictly inside that
+polygon, with equality when h is non-degenerate on the polygon and its
+edges (Khovanskii, "Newton polyhedra and the genus of complete
+intersections", 1978), so a count of 0 certifies rationality
+unconditionally.  A non-degenerate curve of positive genus is hyperelliptic
+exactly when the interior points are collinear (Castryck and Voight, "On
+nondegeneracy of curves", 2009).  A support of affine rank <= 1 has no
+interior points.
 
 classify_rationality chains the decision rules in a fixed cascade; every
 verdict records which rule fired, and anything the rules cannot certify is
@@ -18,6 +20,7 @@ reported as undecided rather than guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,11 +29,12 @@ from cdvdiv.newton import (
     DEGENERATE,
     FaceVerdict,
     NONDEGENERATE_CERTIFIED,
+    _affine_rank,
     _convex_hull_ccw,
+    _pivot_columns,
     polygon_nondegeneracy,
 )
-from cdvdiv.poly import Polynomial, VARS, VAR_INDEX
-from cdvdiv.factorize import strip_monomial_content
+from cdvdiv.poly import Polynomial
 
 RATIONAL = "rational"
 NON_RATIONAL = "non_rational"
@@ -54,109 +58,88 @@ def is_plt_weight(kind: str, w: Weight) -> bool:
 
 
 @dataclass(frozen=True)
-class ConeStructure:
-    """A component equation missing one variable: a cone over a plane curve."""
-
-    missing_variable: str
-    missing_weight: int
-    base_variables: Tuple[str, str, str]
-    base_weights: Tuple[int, int, int]
-    base_equation: Polynomial
-
-
-def detect_cone(component: Polynomial, w: Weight) -> Optional[ConeStructure]:
-    """Cone structure of a component, if some variable is absent.
-
-    When several variables are absent the one with the largest weight is
-    chosen (ties broken by variable order).
-    """
-    if component.is_zero():
-        raise ValueError("cannot analyze the zero component")
-    present = set(component.variables_present())
-    absent = [v for v in VARS if v not in present]
-    if not absent:
-        return None
-    missing = max(absent, key=lambda v: (w[VAR_INDEX[v]], -VAR_INDEX[v]))
-    base = tuple(v for v in VARS if v != missing)
-    return ConeStructure(
-        missing_variable=missing,
-        missing_weight=w[VAR_INDEX[missing]],
-        base_variables=base,
-        base_weights=tuple(w[VAR_INDEX[v]] for v in base),
-        base_equation=component,
-    )
-
-
-def chart_polynomial(c: ConeStructure) -> Tuple[Polynomial, Tuple[str, str]]:
-    """Affine chart of the base curve: set a weight-1 base variable to 1.
-
-    Prefers t, then z, then y, then x among the weight-1 base variables.
-    Setting it to 1 projects each exponent vector onto the others, summing
-    the coefficients of terms that coincide; monomial content is stripped
-    from the result.  Raises ValueError when no base variable has weight 1
-    (outside the certified scope of the pipeline).
-    """
-    candidates = [
-        v for v, wt in zip(c.base_variables, c.base_weights) if wt == 1
-    ]
-    if not candidates:
-        raise ValueError(
-            f"no weight-1 variable in the base P{c.base_weights}; "
-            "chart construction is out of certified scope"
-        )
-    chart_var = max(candidates, key=lambda v: VAR_INDEX[v])
-    i = VAR_INDEX[chart_var]
-    projected = {}
-    for exps, coeff in c.base_equation.items():
-        key = exps[:i] + (0,) + exps[i + 1 :]
-        projected[key] = projected.get(key, 0) + coeff
-    _content, stripped = strip_monomial_content(Polynomial(projected))
-    remaining = tuple(v for v in c.base_variables if v != chart_var)
-    return stripped, remaining
-
-
-@dataclass(frozen=True)
 class LatticePolygon:
-    """Convex hull of 2-D lattice points with its interior points.
+    """Convex hull of points of affine rank <= 2, in the lattice of their plane.
 
-    Vertices are in counterclockwise convex position.  For genuinely
-    2-dimensional polygons Pick's identity (area = interior + boundary/2 - 1)
-    is verified at construction time.
+    The lattice is Z^n meet the affine hull of the points.  Vertices are
+    points in counterclockwise convex position as seen in the two pivot
+    coordinates of `newton._pivot_columns`, or the ends of a segment, or
+    one point; interior_points are the lattice points strictly inside.
+    boundary_count and doubled_area are measured in the same lattice, and
+    for a polygon with an interior Pick's identity
+    (area = interior + boundary/2 - 1) is verified at construction time.
     """
 
-    vertices: Tuple[Tuple[int, int], ...]
-    interior_points: Tuple[Tuple[int, int], ...]
+    vertices: Tuple[Tuple[int, ...], ...]
+    interior_points: Tuple[Tuple[int, ...], ...]
     boundary_count: int
     doubled_area: int
 
     @staticmethod
-    def from_points(points: Sequence[Tuple[int, int]]) -> "LatticePolygon":
-        hull = _convex_hull_ccw(points)
-        if len(hull) <= 2:
-            return LatticePolygon(
-                vertices=tuple(hull),
-                interior_points=(),
-                boundary_count=len(hull),
-                doubled_area=0,
-            )
+    def from_points(points: Sequence[Sequence[int]]) -> "LatticePolygon":
+        """The polygon of `points`, which must have affine rank <= 2.
+
+        The projection to the pivot columns i, j is injective on the plane.
+        With two spanning differences d, e of the plane and their 2x2 minors
+        m_ab = d_a e_b - d_b e_a, the point of the plane over the projected
+        point base + (p, q) has coordinate k equal to
+        base_k + (p m_kj + q m_ik) / m_ij, so a projected integer point is
+        in the lattice iff each of those quotients is an integer.  The
+        projection scales areas by the lattice index |m_ij| / g, g the gcd
+        of all the minors.
+        """
+        points = sorted(set(map(tuple, points)))
+        cols = _pivot_columns(points)
+        if len(cols) > 2:
+            raise ValueError("a lattice polygon needs points of affine rank <= 2")
+        if len(cols) < 2:
+            ends = tuple(points[:1] + points[1:][-1:])
+            return LatticePolygon(ends, (), len(ends), 0)
+        i, j = cols
+        lift = {(p[i], p[j]): p for p in points}
+        hull = _convex_hull_ccw(list(lift))
+        vertices = [lift[v] for v in hull]
+        base = vertices[0]
+        d = [a - b for a, b in zip(vertices[1], base)]
+        e = [a - b for a, b in zip(vertices[2], base)]
+
+        def minor(a: int, b: int) -> int:
+            return d[a] * e[b] - d[b] * e[a]
+
+        m_ij = minor(i, j)
+        index_gcd = gcd(*(minor(a, b) for a, b in combinations(range(len(base)), 2)))
+        others = [(k, minor(k, j), minor(i, k)) for k in range(len(base)) if k not in cols]
         area2 = 0
         boundary = 0
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:] + [hull[0]]):
-            area2 += x1 * y2 - x2 * y1
-            boundary += gcd(abs(x2 - x1), abs(y2 - y1))
-        interior = tuple(_interior_points(hull))
+        for u, v in zip(vertices, vertices[1:] + vertices[:1]):
+            area2 += u[i] * v[j] - v[i] * u[j]
+            boundary += gcd(*(b - a for a, b in zip(u, v)))
+        doubled_area, rest = divmod(area2 * index_gcd, abs(m_ij))
+        assert rest == 0, (vertices, area2, index_gcd, m_ij)
+        interior = []
+        for a, b in _interior_points(hull):
+            p, q = a - base[i], b - base[j]
+            point = list(base)
+            for k, m_kj, m_ik in others:
+                shift, off = divmod(p * m_kj + q * m_ik, m_ij)
+                if off:
+                    break
+                point[k] += shift
+            else:
+                point[i], point[j] = a, b
+                interior.append(tuple(point))
         # Pick's identity as a construction-time self check.
-        assert area2 == 2 * len(interior) + boundary - 2, (
-            hull,
-            area2,
+        assert doubled_area == 2 * len(interior) + boundary - 2, (
+            vertices,
+            doubled_area,
             boundary,
             interior,
         )
         return LatticePolygon(
-            vertices=tuple(hull),
-            interior_points=interior,
+            vertices=tuple(vertices),
+            interior_points=tuple(interior),
             boundary_count=boundary,
-            doubled_area=area2,
+            doubled_area=doubled_area,
         )
 
     def is_degenerate(self) -> bool:
@@ -178,47 +161,15 @@ def _interior_points(hull: List[Tuple[int, int]]):
                 yield (x, y)
 
 
-def polygon_of(
-    g2: Polynomial, chart_vars: Tuple[str, str] | None = None
-) -> Tuple[LatticePolygon, Tuple[str, str]]:
-    """Newton polygon of a polynomial in at most two variables."""
-    if g2.is_zero():
-        raise ValueError("zero polynomial has no Newton polygon")
-    if chart_vars is None:
-        present = g2.variables_present()
-        if len(present) > 2:
-            raise ValueError("polygon_of expects a polynomial in <= 2 variables")
-        padded = list(present)
-        for v in reversed(VARS):
-            if len(padded) >= 2:
-                break
-            if v not in padded:
-                padded.append(v)
-        chart_vars = tuple(sorted(padded, key=lambda v: VAR_INDEX[v]))[:2]
-    i, j = VAR_INDEX[chart_vars[0]], VAR_INDEX[chart_vars[1]]
-    points = []
-    for exps in g2.support():
-        for k in range(4):
-            if k not in (i, j) and exps[k]:
-                raise ValueError(
-                    f"polynomial involves {VARS[k]}, outside the chart {chart_vars}"
-                )
-        points.append((exps[i], exps[j]))
-    return LatticePolygon.from_points(points), chart_vars
+def polygon_genus(g: Polynomial) -> Tuple[int, LatticePolygon]:
+    """Genus of the curve of g, a support of affine rank <= 2, as the
+    interior lattice point count of its polygon.
 
-
-def polygon_genus(
-    g2: Polynomial, chart_vars: Tuple[str, str] | None = None
-) -> Tuple[int, LatticePolygon]:
-    """Genus of the chart curve as the interior lattice point count.
-
-    Exact for curves non-degenerate with respect to the polygon; an upper
-    bound for the geometric genus in general.  Degenerate supports (fewer
-    than 3 points, or all collinear) give genus 0 directly.
+    Exact for g non-degenerate with respect to the polygon; an upper bound
+    for the geometric genus in general.  Supports of affine rank <= 1 give
+    genus 0.
     """
-    polygon, _vars = polygon_of(g2, chart_vars)
-    if polygon.is_degenerate():
-        return 0, polygon
+    polygon = LatticePolygon.from_points(g.support())
     return len(polygon.interior_points), polygon
 
 
@@ -231,30 +182,25 @@ def is_hyperelliptic(p: LatticePolygon) -> bool:
     pts = p.interior_points
     if len(pts) <= 2:
         return True
-    (x0, y0) = pts[0]
-    (x1, y1) = pts[1]
-    for (x, y) in pts[2:]:
-        if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) != 0:
+    o = pts[0]
+    u = [a - b for a, b in zip(pts[1], o)]
+    for q in pts[2:]:
+        v = [a - b for a, b in zip(q, o)]
+        if any(u[a] * v[b] != u[b] * v[a] for a, b in combinations(range(len(u)), 2)):
             return False
     return True
 
 
-def chart_nondegeneracy(g2: Polynomial) -> FaceVerdict:
-    """Non-degeneracy of the chart curve on its Newton polygon and its edges.
-
-    The chart curve has a polygon of affine rank 2; the test is
-    `newton.polygon_nondegeneracy`.
-    """
-    return polygon_nondegeneracy(g2)
+def chart_nondegeneracy(g: Polynomial) -> FaceVerdict:
+    """Non-degeneracy of a component of affine rank 2 on its Newton polygon
+    and its edges: `newton.polygon_nondegeneracy`."""
+    return polygon_nondegeneracy(g)
 
 
 @dataclass(frozen=True)
 class RationalityResult:
     verdict: str
     rule: str
-    cone: Optional[ConeStructure] = None
-    chart: Optional[Polynomial] = None
-    chart_variables: Optional[Tuple[str, str]] = None
     polygon: Optional[LatticePolygon] = None
     genus: Optional[int] = None
     hyperelliptic: Optional[bool] = None
@@ -278,10 +224,12 @@ def classify_rationality(
       b. an equation linear in a variable it contains is a graph, hence
          rational;
       c. weights in the purely-log-terminal exclusion table are rational;
-      d. a cone is rational iff its base curve has genus 0; positive genus
-         is asserted only when the chart curve passes the non-degeneracy
-         check (otherwise the verdict degrades to undecided);
-      e. everything else is undecided - reported, never guessed.
+      d. a component whose support has affine rank <= 2 is rational iff its
+         lattice polygon has no interior point; positive genus is asserted
+         only when the component passes the non-degeneracy check on its
+         polygon (otherwise the verdict degrades to undecided);
+      e. everything else (affine rank 3) is undecided - reported, never
+         guessed.
     """
     if face_dimension <= 1:
         return RationalityResult(RATIONAL, "face_dimension_le_1")
@@ -292,47 +240,37 @@ def classify_rationality(
             return RationalityResult(RATIONAL, f"linear_in_{v}")
     if is_plt_weight(singularity_kind, w):
         return RationalityResult(RATIONAL_BY_PLT, "plt_weight_table")
-    cone = detect_cone(component, w)
-    if cone is None:
+    if _affine_rank(component.support()) > 2:
         return RationalityResult(
             UNDECIDED,
             "no_rule_applies",
             warnings=("component is not a cone and no rationality rule applies",),
         )
-    try:
-        chart, chart_vars = chart_polynomial(cone)
-    except ValueError as err:
-        return RationalityResult(
-            UNDECIDED, "chart_unavailable", cone=cone, warnings=(str(err),)
-        )
-    genus, polygon = polygon_genus(chart, chart_vars)
+    genus, polygon = polygon_genus(component)
     chart_verdict, warnings = None, ()
     if genus == 0:
         # Interior count bounds the geometric genus from above, so genus 0 is
         # certain regardless of non-degeneracy.
-        verdict, rule = RATIONAL, "cone_genus_0"
+        verdict, rule = RATIONAL, "polygon_genus_0"
     else:
-        chart_verdict = chart_nondegeneracy(chart)
+        chart_verdict = chart_nondegeneracy(component)
         if chart_verdict.status == NONDEGENERATE_CERTIFIED:
-            verdict, rule = NON_RATIONAL, "cone_positive_genus"
+            verdict, rule = NON_RATIONAL, "polygon_positive_genus"
         else:
             degenerate = chart_verdict.status == DEGENERATE
             verdict = UNDECIDED
-            rule = "chart_degenerate" if degenerate else "chart_undecided"
+            rule = "polygon_degenerate" if degenerate else "polygon_undecided"
             warnings = (
                 (
-                    "chart curve is degenerate with respect to its polygon"
+                    "component is degenerate with respect to its polygon"
                     if degenerate
-                    else "non-degeneracy of the chart curve is undecided"
+                    else "non-degeneracy of the component on its polygon is undecided"
                 )
                 + "; the interior-point genus is only an upper bound",
             )
     return RationalityResult(
         verdict,
         rule,
-        cone=cone,
-        chart=chart,
-        chart_variables=chart_vars,
         polygon=polygon,
         genus=genus,
         hyperelliptic=is_hyperelliptic(polygon),

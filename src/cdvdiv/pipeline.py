@@ -399,8 +399,8 @@ def generate_corpus(seed: int = 0) -> List[CorpusInstance]:
 class CorpusResult:
     """Property violations of a corpus run, and how decided its verdicts are.
 
-    undecided_verdicts counts face and chart checks that no exact test
-    settled; degenerate verdicts are split by whether they carry a witness.
+    undecided_verdicts counts face checks and component polygon checks that
+    no exact test settled; degenerate verdicts are split by whether they carry a witness.
     catalog_disagreements counts non-rational discrepancy-1 components whose
     weight is not in candidate_weights of the classified type; it is
     reported, not part of ok.
@@ -418,7 +418,7 @@ class CorpusResult:
     catalog_disagreements: int = 0
 
     def count_verdicts(self, analysis: "AnalysisResult") -> None:
-        """Add the face and chart verdicts and undecided components of one analysis."""
+        """Add the face and polygon verdicts and undecided components of one analysis."""
         verdicts = []
         for wr in analysis.weight_reports:
             verdicts.append(wr.face_verdict)

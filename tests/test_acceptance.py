@@ -143,7 +143,7 @@ def test_criterion_3_cd_family():
             ok = ok and r.discrepancy == 1
             ok = ok and r.genus == k - 1
             ok = ok and r.hyperelliptic is True
-            ok = ok and r.rationality.cone is not None
+            ok = ok and r.rationality.rule == "polygon_positive_genus"
     report(3, "cD family k=2..6", ok, worst, 2.0)
 
 

@@ -121,7 +121,7 @@ class TestAnalyzeCommand:
         )
         assert status == EXIT_OK
         doc = json.loads(out)
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
         assert doc["report"]["uniqueness"]["non_rational_discrepancy_one"] == 1
         assert doc["report"]["classification"] == "cD_4"
 

@@ -665,7 +665,7 @@ def chart_loop_verdict(g):
     return worst
 
 
-# the chart curve of the golden `chart_degenerate` report, with witness z = 1/4
+# the golden `polygon_degenerate` component at t = 1, with witness z = 1/4
 GOLDEN_DEGENERATE_CHART = parse_polynomial("256*z^4 + 256*x^2 - 96*z^2 + 32*z - 3")
 
 FACTORIZE_POLYGONS = [

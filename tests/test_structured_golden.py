@@ -68,6 +68,9 @@ ANALYZE_GERMS = [
     "3/2*y^2*z*t^9 + 5*x*t^8 + z^7 + t^7 + y^2*z + x^2",
     "2/3*y^2*z^7*t + x*t^8 + t^9 + y*z^3 + y^3 + x^2",
     "5/2*y^2*z*t^6 + 2*x*z^2*t^3 + z^4 + t^4 + y^3 + x^2",
+    # cE7 at (9,6,4,1): the component x^2 + y^3 + y*z^3 has no weight-1
+    # variable, and its lattice polygon has no interior point
+    "x^2 + y^3 + y*z^3 + z^9 + t^20",
     # the reduction fails, so the report carries a warning
     "x^2 + y^3 + z^3 + t^3",
 ]
