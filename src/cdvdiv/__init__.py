@@ -4,8 +4,9 @@ The package takes a polynomial f(x, y, z, t) defining a 3-fold hypersurface
 singularity at the origin, classifies its compound Du Val type, and studies
 the weighted blowups whose exceptional divisor has discrepancy 1: which of
 them carry a non-rational component, and what the genus of the curve of each
-component whose support spans a plane is.  All arithmetic is exact (rational numbers and
-integer lattice geometry); nothing in the mathematical core uses floats.
+component whose support spans a plane is.  All arithmetic is exact (rational
+numbers and integer lattice geometry); nothing in the mathematical core uses
+floats.
 """
 
 from cdvdiv.poly import (

@@ -29,7 +29,6 @@ from cdvdiv.newton import (
     DEGENERATE,
     FaceVerdict,
     NONDEGENERATE_CERTIFIED,
-    _affine_rank,
     _convex_hull_ccw,
     _pivot_columns,
     polygon_nondegeneracy,
@@ -93,7 +92,7 @@ class LatticePolygon:
         if len(cols) > 2:
             raise ValueError("a lattice polygon needs points of affine rank <= 2")
         if len(cols) < 2:
-            ends = tuple(points[:1] + points[1:][-1:])
+            ends = (points[0], points[-1]) if len(points) > 1 else (points[0],)
             return LatticePolygon(ends, (), len(ends), 0)
         i, j = cols
         lift = {(p[i], p[j]): p for p in points}
@@ -115,7 +114,6 @@ class LatticePolygon:
             area2 += u[i] * v[j] - v[i] * u[j]
             boundary += gcd(*(b - a for a, b in zip(u, v)))
         doubled_area, rest = divmod(area2 * index_gcd, abs(m_ij))
-        assert rest == 0, (vertices, area2, index_gcd, m_ij)
         interior = []
         for a, b in _interior_points(hull):
             p, q = a - base[i], b - base[j]
@@ -129,7 +127,7 @@ class LatticePolygon:
                 point[i], point[j] = a, b
                 interior.append(tuple(point))
         # Pick's identity as a construction-time self check.
-        assert doubled_area == 2 * len(interior) + boundary - 2, (
+        assert rest == 0 and doubled_area == 2 * len(interior) + boundary - 2, (
             vertices,
             doubled_area,
             boundary,
@@ -240,13 +238,14 @@ def classify_rationality(
             return RationalityResult(RATIONAL, f"linear_in_{v}")
     if is_plt_weight(singularity_kind, w):
         return RationalityResult(RATIONAL_BY_PLT, "plt_weight_table")
-    if _affine_rank(component.support()) > 2:
+    try:
+        genus, polygon = polygon_genus(component)
+    except ValueError:  # affine rank 3
         return RationalityResult(
             UNDECIDED,
             "no_rule_applies",
             warnings=("component is not a cone and no rationality rule applies",),
         )
-    genus, polygon = polygon_genus(component)
     chart_verdict, warnings = None, ()
     if genus == 0:
         # Interior count bounds the geometric genus from above, so genus 0 is
