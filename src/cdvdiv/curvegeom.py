@@ -222,10 +222,10 @@ def classify_rationality(
       b. an equation linear in a variable it contains is a graph, hence
          rational;
       c. weights in the purely-log-terminal exclusion table are rational;
-      d. a component whose support has affine rank <= 2 is rational iff its
-         lattice polygon has no interior point; positive genus is asserted
-         only when the component passes the non-degeneracy check on its
-         polygon (otherwise the verdict degrades to undecided);
+      d. a component whose support has affine rank <= 2 is rational when
+         its lattice polygon has no interior point; positive genus is
+         asserted only when the component passes the non-degeneracy check
+         on its polygon (otherwise the verdict degrades to undecided);
       e. everything else (affine rank 3) is undecided - reported, never
          guessed.
     """
